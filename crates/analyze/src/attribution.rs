@@ -4,17 +4,15 @@
 //! The event-tracing layer (`mis_probe::trace`) records one `gate` span
 //! per evaluated signal — signal index, output-edge count, wall-clock
 //! interval. [`crate::TimingAnalysis::levels`] assigns every signal a
-//! topological level. Joining the two answers the question the
-//! ROADMAP's level-sliced wavefront redesign needs answered with data
-//! rather than guesses: *where does evaluation time actually go, level
-//! by level?* A level whose signal count is large but whose time share
-//! is small is cheap parallelism; a level holding most of the time in
-//! few signals bounds any level-barrier schedule from below.
+//! topological level. Joining the two answers, with data rather than
+//! guesses: *where does evaluation time actually go, level by level?*
+//! A level whose signal count is large but whose time share is small
+//! is cheap parallelism; a level holding most of the time in few
+//! signals bounds any level-barrier schedule from below.
 //!
 //! [`attribute_levels`] performs the join over a [`TraceSnapshot`] —
-//! every `gate` event on every track, so serial `sim` runs, parallel
-//! `par.w<i>` workers and campaign timelines all attribute the same way
-//! — and both returns the per-level table ([`LevelAttribution`],
+//! every `gate` event on every track, so several engines tracing into
+//! one sink attribute the same way — and both returns the per-level table ([`LevelAttribution`],
 //! `Display`-renderable) and records per-level `level.L<n>.eval_ns`
 //! histograms into a [`Probe`], so the numbers travel in ordinary probe
 //! reports too.
@@ -213,12 +211,12 @@ mod tests {
     fn events_from_every_track_are_joined() {
         let levels = vec![0, 1, 1];
         let sink = TraceSink::new();
-        gate(&sink.track("par.w0"), 1, 2);
-        gate(&sink.track("par.w1"), 2, 4);
-        // Cone overlap: w1 also evaluated signal 1.
-        gate(&sink.track("par.w1"), 1, 2);
+        gate(&sink.track("sim.a"), 1, 2);
+        gate(&sink.track("sim.b"), 2, 4);
+        // Signal 1 evaluated on both tracks.
+        gate(&sink.track("sim.b"), 1, 2);
         let attr = attribute_levels(&levels, &sink.snapshot(), &Probe::disabled());
-        assert_eq!(attr.rows[1].gate_events, 3, "overlap counts each run");
+        assert_eq!(attr.rows[1].gate_events, 3, "each evaluation counts");
         assert_eq!(attr.rows[1].edges, 8);
     }
 

@@ -11,7 +11,7 @@ use std::fmt;
 /// How bad a diagnostic is.
 ///
 /// * [`Severity::Error`] — the netlist cannot be simulated as written
-///   (today only `A007`: the lowered size exceeds the engines' `u32`
+///   (today only `A007`: the lowered size exceeds the engine's `u32`
 ///   index width, so [`mis_sim::Simulator::new`] is guaranteed to
 ///   reject it).
 /// * [`Severity::Warning`] — the netlist simulates, but something is
@@ -60,9 +60,8 @@ pub enum DiagCode {
     /// zero-time reduction trees; past the library's characterized
     /// range the single-cell delay model stops being meaningful.
     ExcessiveFanIn,
-    /// `A007` — the lowered netlist would exceed the engines' `u32`
-    /// index width ([`mis_sim::ENGINE_INDEX_MAX`] signals or fan-out
-    /// edges), predicted via [`mis_sim::BenchNetlist::lowered_stats`]
+    /// `A007` — the lowered netlist would exceed the engine's `u32`
+    /// index width ([`mis_sim::ENGINE_INDEX_MAX`] signals), predicted via [`mis_sim::BenchNetlist::lowered_stats`]
     /// before any allocation happens.
     IndexWidthOverflow,
 }

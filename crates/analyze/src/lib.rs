@@ -10,7 +10,7 @@
 //!   lines. Six warnings for simulable-but-suspicious structure (unused
 //!   signals, cone-less outputs, duplicate operands, foldable gates,
 //!   dead logic, oversized fan-ins) plus one error — `A007` — that
-//!   predicts the engines' `u32` index-width rejection from
+//!   predicts the engine's `u32` index-width rejection from
 //!   [`mis_sim::BenchNetlist::lowered_stats`] before anything allocates.
 //! * [`sta`] — static timing over a lowered [`mis_digital::Network`]:
 //!   topological levels and per-signal min/max arrival [`Window`]s

@@ -6,7 +6,7 @@
 //! constructs that lower and simulate fine but are almost certainly
 //! mistakes (dead logic, unused declarations, degenerate operand
 //! lists), plus the one predictable hard failure the parser cannot see:
-//! a netlist whose lowered size exceeds the engines' index width
+//! a netlist whose lowered size exceeds the engine's index width
 //! (`A007`, checked against [`mis_sim::ENGINE_INDEX_MAX`] via
 //! [`BenchNetlist::lowered_stats`] without allocating anything).
 //!
@@ -186,16 +186,16 @@ pub fn lint(nl: &BenchNetlist, config: &LintConfig) -> LintReport {
     // A007 — index-width pre-flight: the one finding that predicts a
     // hard engine failure rather than a smell.
     let stats = nl.lowered_stats();
-    if stats.signals > ENGINE_INDEX_MAX || stats.edges > ENGINE_INDEX_MAX {
+    if stats.signals > ENGINE_INDEX_MAX {
         out.push(Diagnostic {
             code: DiagCode::IndexWidthOverflow,
             line: 0,
             signal: None,
             message: format!(
-                "lowering would produce {} signals and {} fan-out edges; the engines \
-                 index both as u32 (max {ENGINE_INDEX_MAX}), so Simulator::new is \
-                 guaranteed to reject this netlist",
-                stats.signals, stats.edges
+                "lowering would produce {} signals; the engine indexes signals as \
+                 u32 (max {ENGINE_INDEX_MAX}), so Simulator::new is guaranteed to \
+                 reject this netlist",
+                stats.signals
             ),
         });
     }

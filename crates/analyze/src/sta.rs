@@ -521,8 +521,8 @@ mod tests {
     fn levels_and_windows_on_a_small_dag() {
         // a, b inputs; n1 = NOR(a, b) ideal; y = NOT(n1) with 7 ps pure.
         let mut net = Network::new();
-        let a = net.add_input("a");
-        let b = net.add_input("b");
+        let a = net.add_input("a").unwrap();
+        let b = net.add_input("b").unwrap();
         let n1 = net.add_gate("n1", GateKind::Nor, &[a, b], None).unwrap();
         let y = net
             .add_gate(
@@ -551,8 +551,8 @@ mod tests {
     fn window_edits_flow_through_the_fanout_cone() {
         // a -> n1 (ideal NOR with b) -> y (NOT, 7 ps pure delay).
         let mut net = Network::new();
-        let a = net.add_input("a");
-        let b = net.add_input("b");
+        let a = net.add_input("a").unwrap();
+        let b = net.add_input("b").unwrap();
         let n1 = net.add_gate("n1", GateKind::Nor, &[a, b], None).unwrap();
         let y = net
             .add_gate(
@@ -591,8 +591,8 @@ mod tests {
     #[test]
     fn report_census_and_critical_path() {
         let mut net = Network::new();
-        let a = net.add_input("a");
-        let b = net.add_input("b");
+        let a = net.add_input("a").unwrap();
+        let b = net.add_input("b").unwrap();
         let slow = net
             .add_gate(
                 "slow",

@@ -15,17 +15,11 @@
 //! Usage:
 //!
 //! ```text
-//! fault_sim [--json] [--workers N] [--engine serial|wavefront[:N]]
-//!           [--glitches N] [--max-events N] [--max-edges N]
-//!           [--trace <out.json>] [--expect k=v,...] <netlist.bench>
+//! fault_sim [--json] [--workers N] [--glitches N] [--max-events N]
+//!           [--max-edges N] [--trace <out.json>] [--expect k=v,...]
+//!           <netlist.bench>
 //! fault_sim --fuzz ITERS [--seed N] [--workers N] [--json]
 //! ```
-//!
-//! `--engine` picks the per-worker replay engine: `serial` (default)
-//! or `wavefront[:N]` for the level-sliced engine with `N`
-//! level-parallel threads nested inside each campaign worker (default
-//! 2). The report is bit-identical either way — the flag trades where
-//! the parallelism lives.
 //!
 //! `--trace` records the campaign on a live `mis_probe::TraceSink` —
 //! the golden run's gate spans plus, per worker, a chunk span, a
@@ -37,8 +31,9 @@
 //!
 //! `--fuzz` ignores the campaign flags and instead runs the
 //! differential fuzz harness (random circuits, stimuli and faults;
-//! serial-vs-parallel bit-identity, faulted-STA soundness, graceful
-//! budgets) for the given iteration count — CI's smoke leg.
+//! engine-vs-reference bit-identity, campaign reports identical across
+//! `1..=--workers` workers, faulted-STA soundness, graceful budgets)
+//! for the given iteration count — CI's smoke leg.
 //!
 //! Exit code 1 on campaign, fuzz, or expectation failure; 2 on usage
 //! errors.
@@ -48,8 +43,8 @@ use std::process::ExitCode;
 use mis_bench::emit;
 use mis_bench::netlist::{committed_cells, traffic};
 use mis_fault::{
-    fuzz_differential, run_campaign_traced, stuck_at_sites, CampaignConfig, CampaignEngine,
-    FaultOutcome, FaultSite, FuzzConfig,
+    fuzz_differential, run_campaign_traced, stuck_at_sites, CampaignConfig, FaultOutcome,
+    FaultSite, FuzzConfig,
 };
 use mis_probe::json::{is_wellformed, json_f64, json_string};
 use mis_probe::{Probe, TraceSink};
@@ -71,28 +66,9 @@ fn parse_expect(spec: &str) -> Result<Vec<(String, u64)>, String> {
         .collect()
 }
 
-/// Parses an `--engine` value: `serial`, `wavefront`, or `wavefront:N`.
-fn parse_engine(spec: &str) -> Result<CampaignEngine, String> {
-    match spec {
-        "serial" => Ok(CampaignEngine::Serial),
-        "wavefront" => Ok(CampaignEngine::Wavefront { workers: 2 }),
-        _ => {
-            let n = spec
-                .strip_prefix("wavefront:")
-                .ok_or_else(|| format!("--engine '{spec}' is not serial|wavefront[:N]"))?;
-            let workers: usize = n.parse().map_err(|e| format!("--engine workers: {e}"))?;
-            if workers == 0 {
-                return Err("--engine wavefront needs at least one worker".to_string());
-            }
-            Ok(CampaignEngine::Wavefront { workers })
-        }
-    }
-}
-
 struct Args {
     json: bool,
     workers: usize,
-    engine: CampaignEngine,
     glitches: usize,
     max_events: Option<u64>,
     max_edges: Option<u64>,
@@ -107,7 +83,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         json: false,
         workers: 4,
-        engine: CampaignEngine::Serial,
         glitches: 0,
         max_events: None,
         max_edges: None,
@@ -128,9 +103,6 @@ fn parse_args() -> Result<Args, String> {
                 args.workers = value("--workers", &mut argv)?
                     .parse()
                     .map_err(|e| format!("--workers: {e}"))?;
-            }
-            "--engine" => {
-                args.engine = parse_engine(&value("--engine", &mut argv)?)?;
             }
             "--glitches" => {
                 args.glitches = value("--glitches", &mut argv)?
@@ -236,7 +208,7 @@ fn run_fuzz(args: &Args, iterations: u32) -> Result<(), String> {
         emit(format_args!("{line}\n"));
     } else {
         emit(format_args!(
-            "fuzz ok: {} iterations, {} engine runs compared, {} edges checked \
+            "fuzz ok: {} iterations, {} runs compared, {} edges checked \
              against faulted STA windows\n",
             report.iterations, report.runs_compared, report.edges_checked
         ));
@@ -264,7 +236,6 @@ fn run_campaign_cli(args: &Args, file: &str) -> Result<(), String> {
     let config = CampaignConfig {
         workers: args.workers,
         budget: budget(args),
-        engine: args.engine,
     };
     let report = run_campaign_traced(
         &lowered.net,
@@ -379,9 +350,8 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("fault_sim: {e}");
             eprintln!(
-                "usage: fault_sim [--json] [--workers N] [--engine serial|wavefront[:N]] \
-                 [--glitches N] [--max-events N] [--max-edges N] [--trace <out.json>] \
-                 [--expect k=v,...] <netlist.bench>"
+                "usage: fault_sim [--json] [--workers N] [--glitches N] [--max-events N] \
+                 [--max-edges N] [--trace <out.json>] [--expect k=v,...] <netlist.bench>"
             );
             eprintln!("       fault_sim --fuzz ITERS [--seed N] [--workers N] [--json]");
             return ExitCode::from(2);

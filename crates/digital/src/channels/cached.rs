@@ -8,7 +8,7 @@ use mis_charlib::{CharGate, CharLib, SurfaceFamily};
 use mis_core::{Mode, ModeConstants, ModeSystem, ModeTrajectory, NorParams};
 use mis_waveform::{DigitalTrace, EdgeBuf, TraceRef};
 
-use crate::channels::{DelayBounds, EventBatch, TwoInputTransform};
+use crate::channels::{DelayBounds, TwoInputTransform};
 use crate::probe::ChannelCounters;
 use crate::{gates, SimError};
 
@@ -773,31 +773,6 @@ impl<'a, 'o> Scheduler<'a, 'o> {
 }
 
 impl CachedHybridChannel {
-    /// The batched event loop: drains a pre-merged [`EventBatch`]
-    /// through the scheduler. The batch carries the same events in the
-    /// same order [`CachedHybridChannel::run_soa`]'s on-the-fly merge
-    /// would produce, so the two entry points are bit-identical — the
-    /// difference is purely mechanical (merge bookkeeping hoisted out
-    /// of the state-machine loop; see the `batch` module docs).
-    fn run_batch(
-        &self,
-        a0: bool,
-        b0: bool,
-        batch: &EventBatch,
-        out: &mut EdgeBuf,
-        stats: &ChannelCounters,
-    ) -> Result<(), SimError> {
-        let mut s = Scheduler::new(self, stats, a0, b0, out);
-        for (t, v, which) in batch.events() {
-            if v {
-                s.handle::<true>(t, which)?;
-            } else {
-                s.handle::<false>(t, which)?;
-            }
-        }
-        s.finish()
-    }
-
     /// The SoA event loop shared by the probed and unprobed entry
     /// points: a two-pointer merge feeding the scheduler, which flushes
     /// its event tallies into `stats` at the end.
@@ -895,18 +870,6 @@ impl TwoInputTransform for CachedHybridChannel {
         self.run_soa(a, b, out, stats)
     }
 
-    fn apply2_batched_into_probed(
-        &self,
-        a: TraceRef<'_>,
-        b: TraceRef<'_>,
-        batch: &mut EventBatch,
-        out: &mut EdgeBuf,
-        stats: &ChannelCounters,
-    ) -> Result<(), SimError> {
-        batch.fill(a, b);
-        self.run_batch(a.initial_value(), b.initial_value(), batch, out, stats)
-    }
-
     fn name(&self) -> &str {
         "hybrid-nor-cached"
     }
@@ -1001,26 +964,6 @@ impl TwoInputTransform for CachedHybridNandChannel {
         // scheduler's events are the NAND channel's events.
         self.inner
             .apply2_into_probed(a.inverted(), b.inverted(), out, stats)?;
-        out.invert();
-        Ok(())
-    }
-
-    fn apply2_batched_into_probed(
-        &self,
-        a: TraceRef<'_>,
-        b: TraceRef<'_>,
-        batch: &mut EventBatch,
-        out: &mut EdgeBuf,
-        stats: &ChannelCounters,
-    ) -> Result<(), SimError> {
-        // Same duality as the unbatched path: the batch is filled from
-        // the inverted views (NOT is an initial-value flip in the SoA
-        // representation, so the merged times are untouched), run
-        // through the dual NOR scheduler, and the output inverted back.
-        let (a, b) = (a.inverted(), b.inverted());
-        batch.fill(a, b);
-        self.inner
-            .run_batch(a.initial_value(), b.initial_value(), batch, out, stats)?;
         out.invert();
         Ok(())
     }
@@ -1278,67 +1221,5 @@ mod tests {
         assert!(out.initial_value(), "NAND of (0,0) is high");
         assert_eq!(out.transition_count(), 1);
         assert!(!out.edges()[0].rising);
-    }
-
-    #[test]
-    fn batched_entry_point_is_bit_identical_to_the_unbatched_one() {
-        // Dense alternating traffic (including exact ties via the shared
-        // edge at the end) through both cached channels, batched vs
-        // on-the-fly, dispatched through the Arc forwarding the engines
-        // actually use: the outputs must match bit for bit, and the
-        // warm batch must not grow between same-shape applications.
-        let nor = Arc::new(channel());
-        let nand = CachedHybridNandChannel::from_shared(Arc::clone(&nor));
-        let mut a_edges = Vec::new();
-        let mut b_edges = Vec::new();
-        let (mut va, mut vb) = (false, false);
-        for i in 0..40 {
-            let t = ps(200.0 + 151.0 * i as f64);
-            if i % 2 == 0 {
-                va = !va;
-                a_edges.push((t, va));
-            } else {
-                vb = !vb;
-                b_edges.push((t, vb));
-            }
-        }
-        a_edges.push((ps(9000.0), !va));
-        b_edges.push((ps(9000.0), !vb));
-        let a = DigitalTrace::with_edges(false, a_edges).unwrap();
-        let b = DigitalTrace::with_edges(false, b_edges).unwrap();
-        let (mut ba, mut bb) = (EdgeBuf::new(), EdgeBuf::new());
-        ba.copy_trace(&a);
-        bb.copy_trace(&b);
-        let stats = ChannelCounters::disabled();
-        let mut batch = EventBatch::new();
-        for ch in [
-            Box::new(Arc::clone(&nor)) as Box<dyn TwoInputTransform>,
-            Box::new(nand) as Box<dyn TwoInputTransform>,
-        ] {
-            let (mut plain, mut batched) = (EdgeBuf::new(), EdgeBuf::new());
-            ch.apply2_into_probed(ba.as_ref(), bb.as_ref(), &mut plain, stats)
-                .unwrap();
-            ch.apply2_batched_into_probed(
-                ba.as_ref(),
-                bb.as_ref(),
-                &mut batch,
-                &mut batched,
-                stats,
-            )
-            .unwrap();
-            assert_eq!(
-                plain.initial_value(),
-                batched.initial_value(),
-                "{}",
-                ch.name()
-            );
-            assert_eq!(
-                plain.as_ref().times(),
-                batched.as_ref().times(),
-                "{}",
-                ch.name()
-            );
-            assert_eq!(batch.len(), a.transition_count() + b.transition_count());
-        }
     }
 }

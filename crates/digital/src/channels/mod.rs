@@ -1,6 +1,5 @@
 //! Delay channel implementations.
 
-pub mod batch;
 pub mod cached;
 pub mod exp;
 pub mod hybrid;
@@ -13,8 +12,6 @@ use mis_waveform::{DigitalTrace, EdgeBuf, TraceRef};
 
 use crate::probe::ChannelCounters;
 use crate::SimError;
-
-pub use batch::EventBatch;
 
 /// A closed interval `[lo, hi]` (seconds) bounding the offset between any
 /// output transition a channel commits and *some* input transition of the
@@ -168,33 +165,6 @@ pub trait TwoInputTransform: Send + Sync {
         self.apply2_into(a, b, out)
     }
 
-    /// [`TwoInputTransform::apply2_into_probed`] through a caller-owned
-    /// [`EventBatch`] scratch: the input edge lists are merged into
-    /// `batch` by one branch-light pass, and the scheduler then drains
-    /// the flat batch instead of interleaving merge bookkeeping with its
-    /// state machine (see the [`EventBatch`] docs). Bit-identical to
-    /// the unbatched entry point by contract; the default ignores the
-    /// scratch and delegates, so every channel is batch-callable.
-    ///
-    /// The `mis-sim` engines call this with one warm batch per
-    /// evaluation context (serial engine, parallel worker), which keeps
-    /// their steady-state runs allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TwoInputTransform::apply2_into`].
-    fn apply2_batched_into_probed(
-        &self,
-        a: TraceRef<'_>,
-        b: TraceRef<'_>,
-        batch: &mut EventBatch,
-        out: &mut EdgeBuf,
-        stats: &ChannelCounters,
-    ) -> Result<(), SimError> {
-        let _ = batch;
-        self.apply2_into_probed(a, b, out, stats)
-    }
-
     /// A short human-readable name for reports.
     fn name(&self) -> &str;
 
@@ -260,20 +230,6 @@ impl<T: TwoInputTransform + ?Sized> TwoInputTransform for std::sync::Arc<T> {
         stats: &ChannelCounters,
     ) -> Result<(), SimError> {
         (**self).apply2_into_probed(a, b, out, stats)
-    }
-
-    // Forwarded explicitly: the default would silently drop an inner
-    // type's batched override (cells hand `Arc<CachedHybridChannel>`
-    // to networks, so the engines only ever see this impl).
-    fn apply2_batched_into_probed(
-        &self,
-        a: TraceRef<'_>,
-        b: TraceRef<'_>,
-        batch: &mut EventBatch,
-        out: &mut EdgeBuf,
-        stats: &ChannelCounters,
-    ) -> Result<(), SimError> {
-        (**self).apply2_batched_into_probed(a, b, batch, out, stats)
     }
 
     fn name(&self) -> &str {

@@ -38,19 +38,19 @@ pub enum SimError {
         reason: String,
     },
     /// The network exceeds an engine's index width (the `mis-sim`
-    /// engines store signal and span indices as `u32`). Surfaced as an
+    /// engine stores signal and span indices as `u32`). Surfaced as an
     /// error instead of a construction panic so callers feeding untrusted
     /// netlists can reject them gracefully.
     NetworkTooLarge {
-        /// The offending count (signals or fan-out edges).
+        /// The offending signal count.
         count: usize,
         /// The engine's maximum representable count.
         max: usize,
     },
     /// A run exhausted its `RunBudget` and stopped gracefully instead
     /// of doing unbounded work. The variant is allocation-free by
-    /// design: the budgeted engines return it from hot loops that are
-    /// themselves under a zero-allocation gate.
+    /// design: the budgeted engine returns it from a hot loop that is
+    /// itself under a zero-allocation gate.
     BudgetExceeded {
         /// Which limit tripped.
         resource: BudgetResource,

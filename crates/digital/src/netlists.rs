@@ -158,8 +158,8 @@ pub fn ripple_chain(
         });
     }
     let mut net = Network::new();
-    let a = net.add_input("a");
-    let b = net.add_input("b");
+    let a = net.add_input("a")?;
+    let b = net.add_input("b")?;
     let mut prev = factory.add(&mut net, "s0", kind, a, b)?;
     for s in 1..stages {
         prev = factory.add(&mut net, &format!("s{s}"), kind, prev, b)?;
@@ -184,11 +184,11 @@ pub fn ripple_chain(
 /// Propagates factory failures.
 pub fn c17(factory: &mut dyn GateFactory) -> Result<BuiltNetlist, SimError> {
     let mut net = Network::new();
-    let in1 = net.add_input("in1");
-    let in2 = net.add_input("in2");
-    let in3 = net.add_input("in3");
-    let in6 = net.add_input("in6");
-    let in7 = net.add_input("in7");
+    let in1 = net.add_input("in1")?;
+    let in2 = net.add_input("in2")?;
+    let in3 = net.add_input("in3")?;
+    let in6 = net.add_input("in6")?;
+    let in7 = net.add_input("in7")?;
     let g10 = factory.add(&mut net, "g10", GateKind::Nand, in1, in3)?;
     let g11 = factory.add(&mut net, "g11", GateKind::Nand, in3, in6)?;
     let g16 = factory.add(&mut net, "g16", GateKind::Nand, in2, g11)?;
@@ -221,7 +221,7 @@ pub fn fanout_tree(
         });
     }
     let mut net = Network::new();
-    let x = net.add_input("x");
+    let x = net.add_input("x")?;
     let mut level = vec![x];
     for d in 0..depth {
         let mut next = Vec::with_capacity(level.len() * 2);

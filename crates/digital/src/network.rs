@@ -117,7 +117,7 @@ pub enum SignalSource<'a> {
 ///
 /// # fn main() -> Result<(), mis_digital::SimError> {
 /// let mut net = Network::new();
-/// let x = net.add_input("x");
+/// let x = net.add_input("x")?;
 /// let ch = || Box::new(ExpChannel::from_sis_delay(ps(30.0), ps(10.0)).unwrap());
 /// let y1 = net.add_gate("y1", GateKind::Not, &[x], Some(ch()))?;
 /// let _y2 = net.add_gate("y2", GateKind::Not, &[y1], Some(ch()))?;
@@ -147,17 +147,22 @@ impl Network {
     }
 
     /// Declares a primary input. All inputs must be declared before any
-    /// gate.
-    pub fn add_input(&mut self, name: &str) -> SignalId {
-        debug_assert_eq!(
-            self.input_count,
-            self.sources.len(),
-            "inputs must precede gates"
-        );
+    /// gate: evaluators rely on inputs occupying signal indices
+    /// `0..input_count()`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Network`] when a gate has already been added.
+    pub fn add_input(&mut self, name: &str) -> Result<SignalId, SimError> {
+        if self.input_count != self.sources.len() {
+            return Err(SimError::Network {
+                reason: format!("input '{name}' declared after a gate; inputs must precede gates"),
+            });
+        }
         self.names.push(name.to_owned());
         self.sources.push(Source::Input);
         self.input_count += 1;
-        SignalId(self.sources.len() - 1)
+        Ok(SignalId(self.sources.len() - 1))
     }
 
     /// Adds a zero-time gate with an optional single-input delay channel
@@ -315,7 +320,7 @@ impl Network {
     ///
     /// # fn main() -> Result<(), mis_digital::SimError> {
     /// let mut net = Network::new();
-    /// let x = net.add_input("x");
+    /// let x = net.add_input("x")?;
     /// let ch = Box::new(InertialChannel::symmetric(ps(30.0), ps(30.0))?);
     /// let y = net.add_gate("y", GateKind::Not, &[x], Some(ch))?;
     /// let input = DigitalTrace::with_edges(false, vec![(ps(100.0), true)])?;
@@ -426,8 +431,8 @@ mod tests {
     #[test]
     fn zero_time_network_logic() {
         let mut net = Network::new();
-        let a = net.add_input("a");
-        let b = net.add_input("b");
+        let a = net.add_input("a").unwrap();
+        let b = net.add_input("b").unwrap();
         let y = net.add_gate("y", GateKind::Nor, &[a, b], None).unwrap();
         let ta = DigitalTrace::with_edges(false, vec![(1.0, true)]).unwrap();
         let tb = DigitalTrace::constant(false);
@@ -437,9 +442,24 @@ mod tests {
     }
 
     #[test]
+    fn inputs_after_a_gate_are_rejected() {
+        // Evaluators index `inputs[i]` by signal index, so a late input
+        // is refused.
+        let mut net = Network::new();
+        let a = net.add_input("a").unwrap();
+        net.add_gate("y", GateKind::Not, &[a], None).unwrap();
+        let err = net.add_input("late").unwrap_err();
+        assert!(matches!(err, SimError::Network { .. }), "{err:?}");
+        assert_eq!(net.input_count(), 1);
+        assert_eq!(net.signal_count(), 2, "the late input was not added");
+        let traces = net.run(&[DigitalTrace::constant(false)]).unwrap();
+        assert!(traces[1].initial_value());
+    }
+
+    #[test]
     fn channels_compose_along_paths() {
         let mut net = Network::new();
-        let x = net.add_input("x");
+        let x = net.add_input("x").unwrap();
         let y1 = net
             .add_gate(
                 "y1",
@@ -464,8 +484,8 @@ mod tests {
     #[test]
     fn hybrid_gate_embeds_in_network() {
         let mut net = Network::new();
-        let a = net.add_input("a");
-        let b = net.add_input("b");
+        let a = net.add_input("a").unwrap();
+        let b = net.add_input("b").unwrap();
         let ch = Box::new(HybridNorChannel::new(&NorParams::paper_table1()).unwrap());
         let y = net.add_two_input_channel_gate("y", [a, b], ch).unwrap();
         let ta = DigitalTrace::with_edges(false, vec![(ps(100.0), true)]).unwrap();
@@ -486,8 +506,8 @@ mod tests {
         let lib = CharLib::nor(&NorParams::paper_table1(), &CharConfig::default())
             .expect("characterization");
         let mut net = Network::new();
-        let a = net.add_input("a");
-        let b = net.add_input("b");
+        let a = net.add_input("a").unwrap();
+        let b = net.add_input("b").unwrap();
         let exact = Box::new(HybridNorChannel::new(&NorParams::paper_table1()).unwrap());
         let cached = Box::new(CachedHybridChannel::new(&lib).unwrap());
         let y_exact = net
@@ -519,7 +539,7 @@ mod tests {
     #[test]
     fn arity_and_reference_validation() {
         let mut net = Network::new();
-        let a = net.add_input("a");
+        let a = net.add_input("a").unwrap();
         assert!(net.add_gate("bad", GateKind::Nor, &[a], None).is_err());
         assert!(net
             .add_gate("bad2", GateKind::Not, &[SignalId(99)], None)

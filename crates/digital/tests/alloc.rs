@@ -34,8 +34,8 @@ fn quick_lib() -> CharLib {
 /// exp involution), and the cached hybrid two-input scheduler.
 fn mixed_network(lib: &CharLib) -> Network {
     let mut net = Network::new();
-    let a = net.add_input("a");
-    let b = net.add_input("b");
+    let a = net.add_input("a").unwrap();
+    let b = net.add_input("b").unwrap();
     let buf = net
         .add_gate(
             "buf",

@@ -260,7 +260,7 @@ fn build_network(n_inputs: usize, spec: &[SpecGate]) -> Network {
     let mut net = Network::new();
     let mut ids = Vec::new();
     for i in 0..n_inputs {
-        ids.push(net.add_input(&format!("in{i}")));
+        ids.push(net.add_input(&format!("in{i}")).unwrap());
     }
     for (g, gate) in spec.iter().enumerate() {
         let name = format!("g{g}");

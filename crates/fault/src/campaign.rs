@@ -8,12 +8,9 @@
 //! count changes only wall-clock time. The argument has three legs:
 //!
 //! 1. **Per-fault determinism.** Each fault is evaluated by a private
-//!    replay engine — the serial [`Simulator`] by default, or the
-//!    level-sliced [`WavefrontSimulator`] via
-//!    [`CampaignEngine::Wavefront`] — under a [`FaultOverlay`]; both
-//!    engines are deterministic and bit-identical, and the overlay is a
-//!    pure rewrite, so a fault's outcome depends on neither the worker
-//!    that runs it nor the engine that replays it.
+//!    [`Simulator`] under a [`FaultOverlay`]; the engine is
+//!    deterministic and the overlay is a pure rewrite, so a fault's
+//!    outcome does not depend on the worker that runs it.
 //! 2. **Fixed partition.** Faults are split into contiguous chunks
 //!    (`chunks` / `chunks_mut`), and each worker writes outcomes only
 //!    into its own chunk of the result vector — no shared accumulator
@@ -30,34 +27,13 @@
 
 use mis_digital::{Network, SignalId, SimError};
 use mis_probe::{EventKind, Probe, TraceSink};
-use mis_sim::{RunBudget, Simulator, TraceOverlay, WavefrontSimulator};
+use mis_sim::{RunBudget, Simulator};
 use mis_waveform::{DigitalTrace, TraceArena, TraceRef};
 
 use crate::error::FaultError;
 use crate::site::{FaultOverlay, FaultSite};
 
-/// Which simulation engine each campaign worker replays faults on.
-///
-/// Both engines are bit-identical, so the choice changes only
-/// wall-clock time, never the report — pinned by
-/// `report_is_identical_on_the_wavefront_engine`. The wavefront option
-/// nests its level-parallel threads *inside* each campaign worker, so
-/// it pays off on deep circuits with few faults per worker; the serial
-/// default wins when the fault list itself supplies the parallelism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CampaignEngine {
-    /// The serial event-queue [`Simulator`] (default).
-    Serial,
-    /// The level-sliced [`WavefrontSimulator`] with this many
-    /// level-parallel threads per campaign worker (≥ 1).
-    Wavefront {
-        /// Level-parallel threads inside each campaign worker.
-        workers: usize,
-    },
-}
-
-/// How a campaign runs: worker count, per-run budget, and the replay
-/// engine.
+/// How a campaign runs: worker count and per-run budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignConfig {
     /// Worker threads evaluating faults (≥ 1; the report is identical
@@ -66,9 +42,6 @@ pub struct CampaignConfig {
     /// Budget each faulty run is held to; a tripped run records
     /// [`FaultOutcome::BudgetTripped`] instead of failing the campaign.
     pub budget: RunBudget,
-    /// Engine each worker replays faults on; the report is identical
-    /// for every choice.
-    pub engine: CampaignEngine,
 }
 
 impl Default for CampaignConfig {
@@ -76,47 +49,6 @@ impl Default for CampaignConfig {
         CampaignConfig {
             workers: 1,
             budget: RunBudget::UNLIMITED,
-            engine: CampaignEngine::Serial,
-        }
-    }
-}
-
-/// One campaign worker's private replay engine: either serial or
-/// wavefront, behind one dispatch point so the fault loop stays
-/// engine-agnostic. Both variants share the `run_controlled_in` /
-/// `trace` surface.
-enum ReplaySim<'n> {
-    Serial(Box<Simulator<'n>>),
-    Wavefront(Box<WavefrontSimulator<'n>>),
-}
-
-impl<'n> ReplaySim<'n> {
-    fn build(net: &'n Network, engine: CampaignEngine) -> Result<Self, SimError> {
-        Ok(match engine {
-            CampaignEngine::Serial => ReplaySim::Serial(Box::new(Simulator::new(net)?)),
-            CampaignEngine::Wavefront { workers } => {
-                ReplaySim::Wavefront(Box::new(WavefrontSimulator::new(net, workers)?))
-            }
-        })
-    }
-
-    fn run_controlled_in(
-        &mut self,
-        inputs: &[DigitalTrace],
-        arena: &mut TraceArena,
-        budget: &RunBudget,
-        overlay: Option<&dyn TraceOverlay>,
-    ) -> Result<(), SimError> {
-        match self {
-            ReplaySim::Serial(sim) => sim.run_controlled_in(inputs, arena, budget, overlay),
-            ReplaySim::Wavefront(sim) => sim.run_controlled_in(inputs, arena, budget, overlay),
-        }
-    }
-
-    fn trace<'a>(&self, arena: &'a TraceArena, id: SignalId) -> TraceRef<'a> {
-        match self {
-            ReplaySim::Serial(sim) => sim.trace(arena, id),
-            ReplaySim::Wavefront(sim) => sim.trace(arena, id),
         }
     }
 }
@@ -178,8 +110,8 @@ impl CampaignReport {
 }
 
 /// Whether a faulty output view differs from its golden trace. Exact
-/// comparison is the right notion here: both engines are bit-identical
-/// and deterministic, so any difference is the fault's doing.
+/// comparison is the right notion here: the engine is deterministic,
+/// so any difference is the fault's doing.
 fn differs(view: TraceRef<'_>, golden: &DigitalTrace) -> bool {
     view.initial_value() != golden.initial_value()
         || view.len() != golden.edges().len()
@@ -193,10 +125,9 @@ fn differs(view: TraceRef<'_>, golden: &DigitalTrace) -> bool {
 /// [`run_campaign`] with the three campaign counters —
 /// `fault.injected`, `fault.detected`, `fault.budget_trips` — and one
 /// `fault.w<i>.busy` span timer per worker (the campaign-utilization
-/// picture, matching the parallel engine's `par.w<i>.busy`) recording
-/// into `probe`. The counters are atomic and shared, so the workers
-/// increment them directly; totals are exact, arrival order is not
-/// part of the report.
+/// picture) recording into `probe`. The counters are atomic and shared,
+/// so the workers increment them directly; totals are exact, arrival
+/// order is not part of the report.
 ///
 /// # Errors
 ///
@@ -248,11 +179,6 @@ pub fn run_campaign_traced(
             reason: "campaign needs at least one worker".into(),
         });
     }
-    if matches!(config.engine, CampaignEngine::Wavefront { workers: 0 }) {
-        return Err(FaultError::Invalid {
-            reason: "wavefront replay engine needs at least one worker".into(),
-        });
-    }
     // The golden run: fault-free, unbudgeted, serial. Output traces are
     // materialized once and shared read-only with every worker. It
     // traces onto the `sim` track (with a detached counter bundle, so
@@ -292,7 +218,7 @@ pub fn run_campaign_traced(
                     let mut detected_here = 0u32;
                     // One engine and one warm arena per worker, reused
                     // across every fault in the chunk.
-                    let mut sim = ReplaySim::build(net, config.engine)?;
+                    let mut sim = Simulator::new(net)?;
                     let mut arena = TraceArena::new();
                     for (j, (site, slot)) in sites.iter().zip(slots.iter_mut()).enumerate() {
                         let overlay = FaultOverlay::new(*site);
@@ -431,8 +357,8 @@ mod tests {
     /// y = NOR(a, b) behind an inertial channel, observed at y.
     fn nor_fixture() -> (Network, Vec<SignalId>, Vec<DigitalTrace>) {
         let mut net = Network::new();
-        let a = net.add_input("a");
-        let b = net.add_input("b");
+        let a = net.add_input("a").unwrap();
+        let b = net.add_input("b").unwrap();
         let y = net
             .add_gate(
                 "y",
@@ -485,7 +411,6 @@ mod tests {
             &CampaignConfig {
                 workers: 1,
                 budget: RunBudget::UNLIMITED,
-                engine: CampaignEngine::Serial,
             },
         )
         .unwrap();
@@ -498,59 +423,11 @@ mod tests {
                 &CampaignConfig {
                     workers,
                     budget: RunBudget::UNLIMITED,
-                    engine: CampaignEngine::Serial,
                 },
             )
             .unwrap();
             assert_eq!(report, baseline, "{workers} workers");
         }
-    }
-
-    #[test]
-    fn report_is_identical_on_the_wavefront_engine() {
-        let (net, outputs, inputs) = nor_fixture();
-        let faults = stuck_at_sites(&net);
-        let baseline =
-            run_campaign(&net, &outputs, &inputs, &faults, &CampaignConfig::default()).unwrap();
-        for campaign_workers in [1, 3] {
-            for engine_workers in [1, 4] {
-                let report = run_campaign(
-                    &net,
-                    &outputs,
-                    &inputs,
-                    &faults,
-                    &CampaignConfig {
-                        workers: campaign_workers,
-                        budget: RunBudget::UNLIMITED,
-                        engine: CampaignEngine::Wavefront {
-                            workers: engine_workers,
-                        },
-                    },
-                )
-                .unwrap();
-                assert_eq!(
-                    report, baseline,
-                    "{campaign_workers} campaign workers x {engine_workers} engine workers"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn zero_wavefront_workers_is_invalid() {
-        let (net, outputs, inputs) = nor_fixture();
-        let err = run_campaign(
-            &net,
-            &outputs,
-            &inputs,
-            &[],
-            &CampaignConfig {
-                engine: CampaignEngine::Wavefront { workers: 0 },
-                ..CampaignConfig::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, FaultError::Invalid { .. }));
     }
 
     #[test]
@@ -565,7 +442,6 @@ mod tests {
             &CampaignConfig {
                 workers: 2,
                 budget: RunBudget::UNLIMITED.with_max_events(0),
-                engine: CampaignEngine::Serial,
             },
         )
         .unwrap();
@@ -588,7 +464,6 @@ mod tests {
             &CampaignConfig {
                 workers: 0,
                 budget: RunBudget::UNLIMITED,
-                engine: CampaignEngine::Serial,
             },
         )
         .unwrap_err();
@@ -609,7 +484,6 @@ mod tests {
             &CampaignConfig {
                 workers: 2,
                 budget: RunBudget::UNLIMITED,
-                engine: CampaignEngine::Serial,
             },
             &probe,
             &sink,
@@ -624,7 +498,6 @@ mod tests {
             &CampaignConfig {
                 workers: 2,
                 budget: RunBudget::UNLIMITED,
-                engine: CampaignEngine::Serial,
             },
         )
         .unwrap();

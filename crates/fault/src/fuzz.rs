@@ -1,6 +1,7 @@
 //! The differential fuzz harness: random circuits, random stimuli,
-//! random faults — cross-checked between both engines and against the
-//! faulted static timing windows.
+//! random faults — cross-checked against the reference evaluator, across
+//! campaign worker counts, and against the faulted static timing
+//! windows.
 //!
 //! Every iteration draws, from a [`TestRng`] seeded off the configured
 //! base (so any failure is reproducible from its printed seed):
@@ -11,19 +12,21 @@
 //! 2. a random stimulus (strictly increasing edge times per input);
 //! 3. one random [`FaultSite`] — stuck-at-0/1 or a transient glitch.
 //!
-//! It then asserts three properties the rest of the workspace argues
-//! structurally, end to end on the faulty run:
+//! It then asserts four properties the rest of the workspace argues
+//! structurally:
 //!
-//! * **Engine bit-identity under faults.** The serial and parallel
-//!   engines produce exactly the same trace for every signal, at every
-//!   worker count up to the configured maximum.
+//! * **Engine bit-identity.** On the fault-free run, [`Simulator`]
+//!   produces exactly the trace of the [`Network::run_in`] reference for
+//!   every signal.
+//! * **Campaign determinism.** A [`run_campaign`] over the network's
+//!   stuck-at list plus the random fault reports the same result at
+//!   every worker count up to the configured maximum.
 //! * **Faulted STA soundness.** Every edge of every faulty trace lands
 //!   inside the signal's arrival window computed by
 //!   [`TimingAnalysis::arrival_windows_edited`] under the fault's
 //!   [`crate::FaultSite::window_edit`].
-//! * **Graceful budgets.** With exactly enough event budget the run
-//!   succeeds on both engines; with one event less the serial engine
-//!   (and with a zero budget, the parallel engine too) returns
+//! * **Graceful budgets.** With exactly enough event budget the faulty
+//!   run succeeds; with one event less it returns
 //!   [`mis_digital::SimError::BudgetExceeded`] — never a panic or a
 //!   hang.
 //!
@@ -33,12 +36,13 @@
 
 use mis_analyze::TimingAnalysis;
 use mis_digital::{GateKind, InertialChannel, Network, PureDelayChannel, SimError};
-use mis_sim::{ParallelSimulator, RunBudget, Simulator};
+use mis_sim::{RunBudget, Simulator};
 use mis_testkit::rng::TestRng;
 use mis_waveform::units::ps;
 use mis_waveform::{DigitalTrace, TraceArena, TraceRef};
 
-use crate::site::{FaultOverlay, FaultSite};
+use crate::campaign::{run_campaign, CampaignConfig};
+use crate::site::{stuck_at_sites, FaultOverlay, FaultSite};
 
 /// Bounds for one fuzz run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +51,7 @@ pub struct FuzzConfig {
     pub iterations: u32,
     /// Base seed; iteration `i` uses `seed + i`.
     pub seed: u64,
-    /// Parallel-engine worker counts checked: `1..=max_workers`.
+    /// Campaign worker counts checked: `1..=max_workers`.
     pub max_workers: usize,
 }
 
@@ -68,8 +72,8 @@ pub struct FuzzReport {
     pub iterations: u32,
     /// Faulty-trace edges checked against their STA windows.
     pub edges_checked: u64,
-    /// Engine runs compared for bit-identity (serial + each worker
-    /// count, per iteration).
+    /// Runs compared, per iteration: the engine against the reference,
+    /// plus one campaign per worker count.
     pub runs_compared: u64,
 }
 
@@ -92,7 +96,10 @@ fn random_network(rng: &mut TestRng) -> Network {
     let mut net = Network::new();
     let mut ids = Vec::new();
     for i in 0..n_inputs {
-        ids.push(net.add_input(&format!("in{i}")));
+        ids.push(
+            net.add_input(&format!("in{i}"))
+                .expect("inputs precede the gates"),
+        );
     }
     for g in 0..n_gates {
         let name = format!("g{g}");
@@ -190,36 +197,60 @@ pub fn fuzz_differential(config: &FuzzConfig) -> Result<FuzzReport, String> {
         let site = random_fault(&mut rng, &net);
         let overlay = FaultOverlay::new(site);
 
-        // Serial faulty run — the reference for this iteration.
-        let mut serial = Simulator::new(&net).map_err(|e| tag(&e.to_string()))?;
-        let mut serial_arena = TraceArena::new();
-        serial
-            .run_controlled_in(
-                &inputs,
-                &mut serial_arena,
-                &RunBudget::UNLIMITED,
-                Some(&overlay),
-            )
+        // Fault-free run: the engine against the reference evaluator.
+        let mut sim = Simulator::new(&net).map_err(|e| tag(&e.to_string()))?;
+        let mut arena = TraceArena::new();
+        sim.run_in(&inputs, &mut arena)
+            .map_err(|e| tag(&e.to_string()))?;
+        let mut reference = TraceArena::new();
+        net.run_in(&inputs, &mut reference)
             .map_err(|e| tag(&e.to_string()))?;
         runs_compared += 1;
-
-        // Parallel faulty runs: bit-identical at every worker count.
-        for workers in 1..=config.max_workers {
-            let mut par = ParallelSimulator::new(&net, workers).map_err(|e| tag(&e.to_string()))?;
-            let mut arena = TraceArena::new();
-            par.run_controlled_in(&inputs, &mut arena, &RunBudget::UNLIMITED, Some(&overlay))
-                .map_err(|e| tag(&e.to_string()))?;
-            runs_compared += 1;
-            for s in 0..net.signal_count() {
-                let id = net.signal_id(s).expect("s < signal_count");
-                if !same_trace(serial.trace(&serial_arena, id), par.trace(&arena, id)) {
-                    return Err(tag(&format!(
-                        "engines diverge on signal {} under fault {site} at {workers} workers",
-                        net.signal_name(id)
-                    )));
-                }
+        for s in 0..net.signal_count() {
+            let id = net.signal_id(s).expect("s < signal_count");
+            if !same_trace(sim.trace(&arena, id), reference.trace(s)) {
+                return Err(tag(&format!(
+                    "engine diverges from the reference on signal {}",
+                    net.signal_name(id)
+                )));
             }
         }
+
+        // Campaigns over every signal: the same report at every worker
+        // count.
+        let outputs: Vec<_> = (0..net.signal_count())
+            .filter_map(|s| net.signal_id(s))
+            .collect();
+        let mut faults = stuck_at_sites(&net);
+        faults.push(site);
+        let mut baseline = None;
+        for workers in 1..=config.max_workers {
+            let report = run_campaign(
+                &net,
+                &outputs,
+                &inputs,
+                &faults,
+                &CampaignConfig {
+                    workers,
+                    ..CampaignConfig::default()
+                },
+            )
+            .map_err(|e| tag(&e.to_string()))?;
+            runs_compared += 1;
+            match &baseline {
+                None => baseline = Some(report),
+                Some(want) if *want != report => {
+                    return Err(tag(&format!(
+                        "campaign report at {workers} workers differs from 1 worker"
+                    )))
+                }
+                Some(_) => {}
+            }
+        }
+
+        // The faulty run every remaining check reads.
+        sim.run_controlled_in(&inputs, &mut arena, &RunBudget::UNLIMITED, Some(&overlay))
+            .map_err(|e| tag(&e.to_string()))?;
 
         // Faulted STA soundness: every faulty edge inside its edited
         // window.
@@ -235,7 +266,7 @@ pub fn fuzz_differential(config: &FuzzConfig) -> Result<FuzzReport, String> {
         let windows = ta.arrival_windows_edited(&input_windows, &[site.window_edit()]);
         for (s, window) in windows.iter().enumerate() {
             let id = net.signal_id(s).expect("s < signal_count");
-            let trace = serial.trace(&serial_arena, id);
+            let trace = sim.trace(&arena, id);
             for &t in trace.times() {
                 edges_checked += 1;
                 if !window.contains(t, WINDOW_TOL) {
@@ -248,42 +279,18 @@ pub fn fuzz_differential(config: &FuzzConfig) -> Result<FuzzReport, String> {
             }
         }
 
-        // Graceful budgets: exactly enough succeeds everywhere; one
-        // event short trips the serial engine; a zero budget trips the
-        // parallel engine too. Always an error, never a panic or hang.
+        // Graceful budgets: exactly enough succeeds; one event short
+        // trips. Always an error, never a panic or hang.
         let gates = (net.signal_count() - net.input_count()) as u64;
         let exact = RunBudget::UNLIMITED.with_max_events(gates);
-        serial
-            .run_controlled_in(&inputs, &mut serial_arena, &exact, Some(&overlay))
+        sim.run_controlled_in(&inputs, &mut arena, &exact, Some(&overlay))
             .map_err(|e| tag(&format!("exact budget should suffice, got: {e}")))?;
         let short = RunBudget::UNLIMITED.with_max_events(gates - 1);
-        match serial.run_controlled_in(&inputs, &mut serial_arena, &short, Some(&overlay)) {
+        match sim.run_controlled_in(&inputs, &mut arena, &short, Some(&overlay)) {
             Err(SimError::BudgetExceeded { .. }) => {}
             other => {
                 return Err(tag(&format!(
-                    "serial engine under a short budget returned {other:?}"
-                )))
-            }
-        }
-        let mut par = ParallelSimulator::new(&net, config.max_workers.max(1))
-            .map_err(|e| tag(&e.to_string()))?;
-        let mut arena = TraceArena::new();
-        par.run_controlled_in(&inputs, &mut arena, &exact, Some(&overlay))
-            .map_err(|e| {
-                tag(&format!(
-                    "exact budget should suffice in parallel, got: {e}"
-                ))
-            })?;
-        match par.run_controlled_in(
-            &inputs,
-            &mut arena,
-            &RunBudget::UNLIMITED.with_max_events(0),
-            Some(&overlay),
-        ) {
-            Err(SimError::BudgetExceeded { .. }) => {}
-            other => {
-                return Err(tag(&format!(
-                    "parallel engine under a zero budget returned {other:?}"
+                    "engine under a short budget returned {other:?}"
                 )))
             }
         }

@@ -1,5 +1,5 @@
 //! **mis-fault** — deterministic fault injection over the `mis-sim`
-//! engines: the adversarial robustness harness of the workspace.
+//! engine: the adversarial robustness harness of the workspace.
 //!
 //! The paper's headline claim is faithful modeling of small delay
 //! variations and glitch behavior under multi-input switching; this
@@ -13,19 +13,20 @@
 //!   glitch pulses that exercise exactly the inertial/hybrid
 //!   pulse-filtering paths the paper is about. [`FaultOverlay`]
 //!   realizes a site as a [`mis_sim::TraceOverlay`], the rewrite hook
-//!   both engines apply at the sealed-span boundary.
+//!   the engine applies at the sealed-span boundary.
 //! * [`campaign`] — the deterministic campaign runner: a fault list
 //!   evaluated against a golden run over scoped worker threads (one
 //!   warm arena per worker), reporting per-output detection and
 //!   aggregate coverage. The report is identical at every worker
-//!   count.
+//!   count. This is where the workspace's parallelism lives: one job
+//!   (faulty run) per engine, many engines per campaign.
 //! * [`fuzz`] — the differential fuzz harness: random bounded-channel
-//!   circuits, stimuli and faults, cross-checking serial vs parallel
-//!   engines bit-for-bit, asserting every faulty edge lands inside its
+//!   circuits, stimuli and faults, cross-checking the engine against
+//!   the `Network::run_in` reference bit-for-bit and campaign reports
+//!   across worker counts, asserting every faulty edge lands inside its
 //!   faulted STA window ([`FaultSite::window_edit`] +
 //!   [`mis_analyze::TimingAnalysis::arrival_windows_edited`]), and
-//!   probing the [`mis_sim::RunBudget`] degradation contract on both
-//!   engines.
+//!   probing the [`mis_sim::RunBudget`] degradation contract.
 //!
 //! # Examples
 //!
@@ -38,8 +39,8 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut net = Network::new();
-//! let a = net.add_input("a");
-//! let b = net.add_input("b");
+//! let a = net.add_input("a")?;
+//! let b = net.add_input("b")?;
 //! let y = net.add_gate("y", GateKind::Nor, &[a, b], None)?;
 //! let stimulus = vec![
 //!     DigitalTrace::with_edges(false, vec![(ps(100.0), true)])?,
@@ -62,8 +63,8 @@ pub mod fuzz;
 pub mod site;
 
 pub use campaign::{
-    run_campaign, run_campaign_probed, run_campaign_traced, CampaignConfig, CampaignEngine,
-    CampaignReport, FaultOutcome, FaultResult,
+    run_campaign, run_campaign_probed, run_campaign_traced, CampaignConfig, CampaignReport,
+    FaultOutcome, FaultResult,
 };
 pub use error::FaultError;
 pub use fuzz::{fuzz_differential, FuzzConfig, FuzzReport};

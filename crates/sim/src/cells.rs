@@ -194,8 +194,8 @@ mod tests {
         let tables = Arc::clone(cells.shared_tables().unwrap());
         let before = Arc::strong_count(&tables);
         let mut net = Network::new();
-        let a = net.add_input("a");
-        let b = net.add_input("b");
+        let a = net.add_input("a").unwrap();
+        let b = net.add_input("b").unwrap();
         for i in 0..16 {
             cells
                 .add(&mut net, &format!("g{i}"), GateKind::Nor, a, b)
@@ -216,8 +216,8 @@ mod tests {
         )
         .unwrap();
         let mut net = Network::new();
-        let a = net.add_input("a");
-        let b = net.add_input("b");
+        let a = net.add_input("a").unwrap();
+        let b = net.add_input("b").unwrap();
         let x = cells.add(&mut net, "x", GateKind::Xor, a, b).unwrap();
         let n = cells.add_unary(&mut net, "n", GateKind::Not, x).unwrap();
         let ta = DigitalTrace::with_edges(false, vec![(ps(100.0), true)]).unwrap();
@@ -232,8 +232,8 @@ mod tests {
     fn ideal_library_is_zero_time() {
         let cells = CellLibrary::ideal();
         let mut net = Network::new();
-        let a = net.add_input("a");
-        let b = net.add_input("b");
+        let a = net.add_input("a").unwrap();
+        let b = net.add_input("b").unwrap();
         let y = cells.add(&mut net, "y", GateKind::Nor, a, b).unwrap();
         let ta = DigitalTrace::with_edges(false, vec![(ps(50.0), true)]).unwrap();
         let traces = net.run(&[ta, DigitalTrace::constant(false)]).unwrap();

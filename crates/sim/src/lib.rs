@@ -6,7 +6,7 @@
 //! where shared event-queue overhead — not per-channel kernel cost —
 //! dominates; the follow-up paper (Ferdowsi et al., 2024) evaluates on
 //! interconnected circuits outright. This crate supplies that missing
-//! granularity in four pieces:
+//! granularity in three pieces:
 //!
 //! * [`mod@bench`] — an ISCAS-85 `.bench` parser/writer and its lowering
 //!   onto the [`mis_digital::Network`] builder (topological ordering of
@@ -17,27 +17,19 @@
 //!   models: one `Arc`-shared cached-hybrid table set per cell type
 //!   (NAND through the free view-inversion duality) plus an inertial
 //!   fallback for the non-hybrid gate kinds.
-//! * [`engine`] — [`Simulator`], the event-queue evaluator: dependency
-//!   counting plus a time-ordered ready queue over the same fused
-//!   arena kernels as `Network::run_in`, bit-identical to the levelized
-//!   sweep and allocation-free on a warm arena.
-//! * [`parallel`] — [`ParallelSimulator`], per-cone evaluation on a
-//!   scoped `std::thread` worker pool: sink fan-in cones packed onto
-//!   workers that each own their [`mis_waveform::TraceArena`], merged
-//!   deterministically by signal index — bit-identical to the serial
-//!   engines at every worker count.
-//! * [`wavefront`] — [`WavefrontSimulator`], level-sliced wavefront
-//!   evaluation: topological fronts split into disjoint per-worker
-//!   chunks (exactly-once, replication 1.0 by construction) with a
-//!   per-level merge barrier and a hybrid serial tail for narrow
-//!   fronts — bit-identical to the serial engine at every worker
-//!   count and cutover.
+//! * [`engine`] — [`Simulator`], the netlist evaluator: every gate in
+//!   signal order (already topological, by the `Network` builder's
+//!   reference-before-use rule) through the same fused arena kernels
+//!   as `Network::run_in`, bit-identical to it and allocation-free on a
+//!   warm arena.
 //!
-//! Two cross-cutting controls thread through both engines:
-//! [`mod@budget`] bounds a run (events, edges, deadline) with a graceful
+//! Two run controls thread through the engine: [`mod@budget`] bounds a
+//! run (events, edges, deadline) with a graceful
 //! [`mis_digital::SimError::BudgetExceeded`] instead of unbounded work,
 //! and [`mod@overlay`] rewrites sealed traces mid-run — the injection
-//! point the `mis-fault` campaigns build on.
+//! point the `mis-fault` campaigns build on. Parallelism lives one
+//! level up, at the job level: `mis-fault` spreads a campaign's faulty
+//! runs over worker threads, each with its own engine.
 //!
 //! # Examples
 //!
@@ -72,9 +64,7 @@ pub mod engine;
 mod error;
 mod kernel;
 pub mod overlay;
-pub mod parallel;
 pub mod probe;
-pub mod wavefront;
 
 pub use bench::{BenchFunc, BenchGate, BenchNetlist, LoweredNetlist, LoweredStats};
 pub use budget::RunBudget;
@@ -83,6 +73,4 @@ pub use engine::Simulator;
 pub use error::BenchError;
 pub use kernel::ENGINE_INDEX_MAX;
 pub use overlay::TraceOverlay;
-pub use parallel::ParallelSimulator;
 pub use probe::{SimCounters, SimTracer};
-pub use wavefront::WavefrontSimulator;

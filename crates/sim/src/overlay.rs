@@ -5,32 +5,25 @@
 //! An overlay sees every signal's trace right after the engine seals it
 //! (input copies and gate outputs alike) and may replace it before any
 //! downstream gate reads it. Because the rewrite happens *at the
-//! sealed-span boundary* — the same place both engines publish traces —
-//! the two engines stay bit-identical under any overlay: a gate's
-//! output is still a pure function of its (now rewritten) fan-in
-//! traces, evaluated by the shared kernel, so the confluence argument
-//! of `crate::kernel` goes through unchanged with "trace of signal `s`"
-//! reinterpreted as "rewritten trace of signal `s`".
-//!
-//! Overlays must be [`Sync`]: the parallel engine shares one overlay
-//! reference across its scoped workers, each of which applies it to the
-//! signals it evaluates. Determinism therefore requires `rewrite` to be
-//! a pure function of `(signal, view)` — interior mutability that makes
-//! the result depend on call order would break both bit-identity and
-//! the cone-overlap redundancy argument.
+//! sealed-span boundary*, a gate's output is still a pure function of
+//! its (now rewritten) fan-in traces, evaluated by the shared kernel.
+//! Determinism therefore requires `rewrite` to be a pure function of
+//! `(signal, view)`: a faulty run is then as reproducible as a
+//! fault-free one, which is what lets `mis-fault` campaigns report the
+//! same result at every worker count.
 
 use mis_digital::{SignalId, SimError};
 use mis_waveform::{EdgeBuf, TraceRef};
 
-/// A deterministic per-signal trace rewrite, applied by the engines at
+/// A deterministic per-signal trace rewrite, applied by the engine at
 /// the sealed-span boundary (see the module docs).
 ///
-/// [`TraceOverlay::rewrites`] is the cheap pre-filter the engines call
+/// [`TraceOverlay::rewrites`] is the cheap pre-filter the engine calls
 /// for every signal; only signals it accepts pay the staging round trip
 /// through [`TraceOverlay::rewrite`].
-pub trait TraceOverlay: Sync {
+pub trait TraceOverlay {
     /// Whether this overlay rewrites signal `id` — called once per
-    /// sealed signal per run (per worker, in the parallel engine).
+    /// sealed signal per run.
     fn rewrites(&self, id: SignalId) -> bool;
 
     /// Rewrites signal `id`'s sealed trace: reads the fault-free `view`
@@ -41,14 +34,14 @@ pub trait TraceOverlay: Sync {
     /// # Errors
     ///
     /// Implementations surface invalid rewrites (e.g. a non-monotone
-    /// edge push) as [`SimError`]; the engines abort the run with it.
+    /// edge push) as [`SimError`]; the engine aborts the run with it.
     fn rewrite(&self, id: SignalId, view: TraceRef<'_>, out: &mut EdgeBuf) -> Result<(), SimError>;
 }
 
 /// Applies one overlay rewrite at the sealed-span boundary: stages the
 /// fault-free span `span` through the arena's `out` buffer and seals
-/// the replacement, returning its span index. The one rewrite path both
-/// engines share, so overlay semantics cannot diverge between them.
+/// the replacement, returning its span index. Inputs and gate outputs
+/// share this one rewrite path.
 pub(crate) fn rewrite_span(
     arena: &mut mis_waveform::TraceArena,
     span: usize,
@@ -94,7 +87,7 @@ mod tests {
     fn overlay_rewrites_feed_downstream_gates() {
         // y = NOT(a): stuck-at-1 on `a` forces y constant-low.
         let mut net = Network::new();
-        let a = net.add_input("a");
+        let a = net.add_input("a").unwrap();
         let y = net.add_gate("y", GateKind::Not, &[a], None).unwrap();
         let input = DigitalTrace::with_edges(false, vec![(100.0, true), (200.0, false)]).unwrap();
         let overlay = StuckAt { id: a, value: true };
@@ -116,7 +109,7 @@ mod tests {
     #[test]
     fn overlay_on_a_gate_output_rewrites_after_evaluation() {
         let mut net = Network::new();
-        let a = net.add_input("a");
+        let a = net.add_input("a").unwrap();
         let y = net.add_gate("y", GateKind::Not, &[a], None).unwrap();
         let z = net.add_gate("z", GateKind::Not, &[y], None).unwrap();
         let input = DigitalTrace::with_edges(false, vec![(100.0, true)]).unwrap();

@@ -12,13 +12,13 @@
 //!
 //! The per-gate-kind **edge census** (`sim.edges.*`) is collected by a
 //! single post-run O(n) walk over the sealed arena — never from inside
-//! the event loop — so it costs the hot loop literally zero and the
+//! the gate sweep — so it costs the hot loop literally zero and the
 //! disabled mode skips the walk entirely.
 
 use std::cell::Cell;
 
 use mis_digital::{BudgetResource, ChannelCounters, SignalSource, SimError};
-use mis_probe::{Counter, EventKind, Gauge, Histogram, Probe, SpanTimer, TraceSink, TraceTrack};
+use mis_probe::{Counter, EventKind, Histogram, Probe, SpanTimer, TraceSink, TraceTrack};
 
 /// Edge-census classes, indexed by [`census_index`]: one per gate kind
 /// plus primary inputs and the two-input MIS channel gates.
@@ -60,17 +60,15 @@ pub(crate) fn census_index(source: &SignalSource<'_>) -> usize {
 /// metrics share cells).
 #[derive(Debug, Clone)]
 pub struct SimCounters {
-    /// Ready-queue pops (one per evaluated signal per run).
+    /// Evaluation events (one per non-input signal per run).
     events_popped: Counter,
-    /// Gates evaluated through the staged kernel (pops minus
+    /// Gates evaluated through the staged kernel (events minus
     /// duplicate-span shortcuts).
     gates_evaluated: Counter,
     /// Channel-less unary gates resolved as arena span duplicates.
     duplicate_spans: Counter,
     /// Completed `run_in` calls.
     runs: Counter,
-    /// High-water mark of the ready queue, across all runs.
-    heap_high_water: Gauge,
     /// Output edges per evaluated gate (census walk, enabled only).
     edges_per_gate: Histogram,
     /// Wall-clock span of each `run_in`.
@@ -91,7 +89,6 @@ impl SimCounters {
             gates_evaluated: probe.counter("sim.gates_evaluated"),
             duplicate_spans: probe.counter("sim.duplicate_spans"),
             runs: probe.counter("sim.runs"),
-            heap_high_water: probe.gauge("sim.heap_high_water"),
             edges_per_gate: probe.histogram("sim.edges_per_gate"),
             run_time: probe.timer("sim.run_time"),
             edge_census: std::array::from_fn(|i| probe.counter(CENSUS_NAMES[i])),
@@ -123,20 +120,18 @@ impl SimCounters {
         self.run_time.start()
     }
 
-    /// Flushes one run's locally-accumulated event-loop tallies.
+    /// Flushes one run's locally-accumulated sweep tallies.
     pub(crate) fn finish_run(
         &self,
         started: Option<std::time::Instant>,
-        pops: u64,
+        events: u64,
         duplicates: u64,
-        heap_high_water: u64,
     ) {
         self.run_time.stop(started);
         self.runs.inc();
-        self.events_popped.add(pops);
+        self.events_popped.add(events);
         self.duplicate_spans.add(duplicates);
-        self.gates_evaluated.add(pops - duplicates);
-        self.heap_high_water.record_max(heap_high_water);
+        self.gates_evaluated.add(events - duplicates);
     }
 
     /// One census observation: `edges` output edges on a signal of
@@ -149,7 +144,7 @@ impl SimCounters {
         }
     }
 
-    /// Cumulative ready-queue pops.
+    /// Cumulative evaluation events.
     #[must_use]
     pub fn events_popped(&self) -> u64 {
         self.events_popped.value()
@@ -172,12 +167,6 @@ impl SimCounters {
     pub fn runs(&self) -> u64 {
         self.runs.value()
     }
-
-    /// Ready-queue high-water mark across runs.
-    #[must_use]
-    pub fn heap_high_water(&self) -> u64 {
-        self.heap_high_water.value()
-    }
 }
 
 /// The engine's timeline recorder: a typed wrapper over one
@@ -194,9 +183,6 @@ impl SimCounters {
 #[derive(Debug, Clone)]
 pub struct SimTracer {
     track: TraceTrack,
-    /// The `a` payload of [`EventKind::Busy`] spans: the worker index
-    /// for per-worker tracks, 0 for engine-level tracks.
-    id: u32,
     /// Completed-run ordinal, the `a` payload of [`EventKind::Run`]
     /// spans. A `Cell` because each tracer is owned by one engine (and
     /// recorded from one thread at a time).
@@ -209,18 +195,6 @@ impl SimTracer {
     pub fn register(sink: &TraceSink, name: &str) -> Self {
         SimTracer {
             track: sink.track(name),
-            id: 0,
-            runs: Cell::new(0),
-        }
-    }
-
-    /// A per-worker tracer: the track `{prefix}.w{worker}`, with `worker`
-    /// carried as the busy-span payload.
-    #[must_use]
-    pub fn register_worker(sink: &TraceSink, prefix: &str, worker: u32) -> Self {
-        SimTracer {
-            track: sink.track(&format!("{prefix}.w{worker}")),
-            id: worker,
             runs: Cell::new(0),
         }
     }
@@ -261,23 +235,6 @@ impl SimTracer {
         self.track.span(EventKind::Gate, signal, edges, started);
     }
 
-    /// Seals one worker busy interval ([`EventKind::Busy`], payload =
-    /// the registered worker index).
-    pub(crate) fn busy_span(&self, started: Option<u64>) {
-        self.track.span(EventKind::Busy, self.id, 0, started);
-    }
-
-    /// Seals the parallel merge ([`EventKind::Merge`]).
-    pub(crate) fn merge_span(&self, started: Option<u64>) {
-        self.track.span(EventKind::Merge, 0, 0, started);
-    }
-
-    /// Seals one wavefront level ([`EventKind::Level`] span, payload =
-    /// level ordinal and width in signals).
-    pub(crate) fn level_span(&self, started: Option<u64>, level: u32, width: u32) {
-        self.track.span(EventKind::Level, level, width, started);
-    }
-
     /// Records an input span sealed into the arena
     /// ([`EventKind::Seal`] instant).
     #[inline]
@@ -287,7 +244,7 @@ impl SimTracer {
 
     /// Passes a budget-meter result through, recording an
     /// [`EventKind::Budget`] instant (payload = resource code) when it
-    /// tripped — how the event loops mark trips on the timeline without
+    /// tripped — how the gate sweep marks trips on the timeline without
     /// disturbing error propagation.
     #[inline]
     pub(crate) fn guard<T>(&self, r: Result<T, SimError>) -> Result<T, SimError> {
@@ -312,23 +269,21 @@ mod tests {
         let probe = Probe::new();
         let c = SimCounters::register(&probe);
         assert!(c.is_enabled());
-        c.finish_run(None, 10, 3, 7);
-        c.finish_run(None, 10, 3, 5);
+        c.finish_run(None, 10, 3);
+        c.finish_run(None, 10, 3);
         assert_eq!(c.runs(), 2);
         assert_eq!(c.events_popped(), 20);
         assert_eq!(c.duplicate_spans(), 6);
         assert_eq!(c.gates_evaluated(), 14);
-        assert_eq!(c.heap_high_water(), 7, "gauge keeps the maximum");
     }
 
     #[test]
     fn disabled_bundle_records_nothing() {
         let c = SimCounters::disabled();
         assert!(!c.is_enabled());
-        c.finish_run(c.start_run(), 10, 3, 7);
+        c.finish_run(c.start_run(), 10, 3);
         c.census(2, 100);
         assert_eq!(c.events_popped(), 0);
-        assert_eq!(c.heap_high_water(), 0);
     }
 
     #[test]
@@ -379,17 +334,6 @@ mod tests {
             limit: 0,
         });
         assert!(t.guard(err).is_err(), "guard still propagates");
-    }
-
-    #[test]
-    fn worker_tracer_names_its_track_and_carries_its_index() {
-        let sink = TraceSink::new();
-        let t = SimTracer::register_worker(&sink, "par", 3);
-        t.busy_span(t.start());
-        let snap = sink.snapshot();
-        let track = snap.track("par.w3").unwrap();
-        assert_eq!(track.events[0].kind, EventKind::Busy);
-        assert_eq!(track.events[0].a, 3);
     }
 
     #[test]

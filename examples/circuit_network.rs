@@ -33,10 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cells = CellLibrary::hybrid(&lib, None)?;
     let tables = Arc::clone(cells.shared_tables().expect("hybrid cells"));
     let mut hybrid_net = Network::new();
-    let a = hybrid_net.add_input("a");
-    let b = hybrid_net.add_input("b");
-    let c = hybrid_net.add_input("c");
-    let d = hybrid_net.add_input("d");
+    let a = hybrid_net.add_input("a")?;
+    let b = hybrid_net.add_input("b")?;
+    let c = hybrid_net.add_input("c")?;
+    let d = hybrid_net.add_input("d")?;
     let n1 = cells.add(&mut hybrid_net, "n1", GateKind::Nor, a, b)?;
     let n2 = cells.add(&mut hybrid_net, "n2", GateKind::Nor, c, d)?;
     let y_hybrid = cells.add(&mut hybrid_net, "y", GateKind::Nor, n1, n2)?;
@@ -48,10 +48,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Network 2: same topology, inertial channels behind zero-time gates.
     let icells = CellLibrary::inertial(InertialChannel::symmetric(ps(55.0), ps(39.0))?);
     let mut inertial_net = Network::new();
-    let ia = inertial_net.add_input("a");
-    let ib = inertial_net.add_input("b");
-    let ic = inertial_net.add_input("c");
-    let id = inertial_net.add_input("d");
+    let ia = inertial_net.add_input("a")?;
+    let ib = inertial_net.add_input("b")?;
+    let ic = inertial_net.add_input("c")?;
+    let id = inertial_net.add_input("d")?;
     let m1 = icells.add(&mut inertial_net, "n1", GateKind::Nor, ia, ib)?;
     let m2 = icells.add(&mut inertial_net, "n2", GateKind::Nor, ic, id)?;
     let y_inertial = icells.add(&mut inertial_net, "y", GateKind::Nor, m1, m2)?;

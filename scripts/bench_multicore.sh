@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
 # Multicore perf baseline: runs the full (non-quick) mis-bench suites on
 # real multicore hardware and appends env-tagged records to the
-# committed BENCH_HISTORY.jsonl — so measured parallel speedups
-# (par{2,4} and wavefront{2,4} ids) enter the perf trajectory instead of
-# staying a modeled footnote in EXPERIMENTS.md.
+# committed BENCH_HISTORY.jsonl, so numbers taken off the CI host enter
+# the perf trajectory with their environment named. Any future claim
+# about parallel speedup must rest on such a record, never on a 1-CPU
+# model.
 #
-# This script is deliberately NOT part of scripts/ci.sh: the tier-1 gate
-# runs on 1-CPU containers where parallel ids measure scheduling
-# overhead, not speedup. Run it manually on a real machine and commit
-# the BENCH_HISTORY.jsonl growth (the BENCH_*.json baselines stay pinned
-# to the CI environment — this records history, it does not overwrite
-# them).
+# This script is deliberately NOT part of scripts/ci.sh: it is slow, and
+# the tier-1 gate may run on 1-CPU containers. Run it manually on a real
+# machine and commit the BENCH_HISTORY.jsonl growth (the BENCH_*.json
+# baselines stay pinned to the CI environment — this records history,
+# it does not overwrite them).
 #
 # Usage:
 #   scripts/bench_multicore.sh               # bench, then append history

@@ -53,8 +53,8 @@ fn closed_forms_agree_with_delay_module() {
 fn network_gate_equals_direct_channel_application() {
     let params = NorParams::paper_table1();
     let mut net = Network::new();
-    let a = net.add_input("a");
-    let b = net.add_input("b");
+    let a = net.add_input("a").unwrap();
+    let b = net.add_input("b").unwrap();
     let y = net
         .add_two_input_channel_gate(
             "y",
