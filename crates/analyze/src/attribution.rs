@@ -110,8 +110,8 @@ impl fmt::Display for LevelAttribution {
     }
 }
 
-/// Joins every `gate` span in `snap` (across all tracks — serial
-/// engine, parallel workers, campaign timelines alike) against the
+/// Joins every `gate` span in `snap` (across all tracks — engine runs
+/// and campaign timelines alike) against the
 /// per-signal `levels` table from [`crate::TimingAnalysis::levels`],
 /// and records each gate's span duration into that level's
 /// `level.L<n>.eval_ns` histogram on `probe` (a no-op on a disabled

@@ -26,8 +26,8 @@
 use mis_charlib::{CharConfig, CharLib};
 use mis_core::NorParams;
 use mis_digital::{
-    gates, CachedHybridChannel, ExpChannel, HybridNorChannel, InertialChannel, SumExpChannel,
-    TraceTransform, TwoInputTransform,
+    gates, CachedHybridChannel, ChannelCounters, ExpChannel, HybridNorChannel, InertialChannel,
+    SumExpChannel, TraceTransform, TwoInputTransform,
 };
 use mis_testkit::bench::Harness;
 use mis_waveform::generate::{Assignment, TraceConfig};
@@ -58,23 +58,25 @@ fn main() {
     let mut out = EdgeBuf::new();
 
     let nor = |x: bool, y: bool| !(x || y);
+    let off = ChannelCounters::disabled();
 
     h.bench("channel_500_transitions/inertial", || {
         gates::combine2_into(nor, abuf.as_ref(), bbuf.as_ref(), &mut scratch).expect("ideal");
         inertial
-            .apply_into(scratch.as_ref(), &mut out)
+            .apply_into(scratch.as_ref(), &mut out, off)
             .expect("inertial");
         out.len()
     });
     h.bench("channel_500_transitions/exp_involution", || {
         gates::combine2_into(nor, abuf.as_ref(), bbuf.as_ref(), &mut scratch).expect("ideal");
-        exp.apply_into(scratch.as_ref(), &mut out).expect("exp");
+        exp.apply_into(scratch.as_ref(), &mut out, off)
+            .expect("exp");
         out.len()
     });
     h.bench("channel_500_transitions/sumexp_involution", || {
         gates::combine2_into(nor, abuf.as_ref(), bbuf.as_ref(), &mut scratch).expect("ideal");
         sumexp
-            .apply_into(scratch.as_ref(), &mut out)
+            .apply_into(scratch.as_ref(), &mut out, off)
             .expect("sumexp");
         out.len()
     });
@@ -85,7 +87,7 @@ fn main() {
     );
     h.bench("channel_500_transitions/hybrid_nor_cached", || {
         cached
-            .apply2_into(abuf.as_ref(), bbuf.as_ref(), &mut out)
+            .apply2_into(abuf.as_ref(), bbuf.as_ref(), &mut out, off)
             .expect("cached hybrid");
         out.len()
     });

@@ -10,7 +10,7 @@ use mis_analog::transient::TransientOptions;
 use mis_analog::NorTech;
 use mis_core::charlie::CharacteristicDelays;
 use mis_core::{delay, fit, HybridTrajectory, Mode, ModeSwitch, NorParams, RisingInitialVn};
-use mis_digital::{gates, InertialChannel, TraceTransform};
+use mis_digital::{gates, ChannelCounters, InertialChannel, TraceTransform};
 use mis_testkit::bench::{black_box, Harness};
 use mis_waveform::generate::{Assignment, TraceConfig};
 use mis_waveform::units::ps;
@@ -107,7 +107,7 @@ fn main() {
             gates::combine2_into(|x, y| !(x || y), abuf.as_ref(), bbuf.as_ref(), &mut scratch)
                 .expect("ideal");
             inertial
-                .apply_into(scratch.as_ref(), &mut out)
+                .apply_into(scratch.as_ref(), &mut out, ChannelCounters::disabled())
                 .expect("inertial");
             out.len()
         });

@@ -772,47 +772,6 @@ impl<'a, 'o> Scheduler<'a, 'o> {
     }
 }
 
-impl CachedHybridChannel {
-    /// The SoA event loop shared by the probed and unprobed entry
-    /// points: a two-pointer merge feeding the scheduler, which flushes
-    /// its event tallies into `stats` at the end.
-    fn run_soa(
-        &self,
-        a: TraceRef<'_>,
-        b: TraceRef<'_>,
-        out: &mut EdgeBuf,
-        stats: &ChannelCounters,
-    ) -> Result<(), SimError> {
-        let mut s = Scheduler::new(self, stats, a.initial_value(), b.initial_value(), out);
-        // Same two-pointer merge over the SoA views, polarities by
-        // parity. Which input fires next is a coin flip to the branch
-        // predictor, so the selection is arranged as data flow
-        // (conditional moves on one compare) rather than control flow —
-        // only `handle`'s own state machine branches remain.
-        let (ta, tb) = (a.times(), b.times());
-        let (ia, ib) = (a.initial_value(), b.initial_value());
-        let (na, nb) = (ta.len(), tb.len());
-        let (mut i, mut j) = (0, 0);
-        while i < na || j < nb {
-            let tai = if i < na { ta[i] } else { f64::INFINITY };
-            let tbj = if j < nb { tb[j] } else { f64::INFINITY };
-            let take_a = tai <= tbj;
-            let t = if take_a { tai } else { tbj };
-            let (idx, init) = if take_a { (i, ia) } else { (j, ib) };
-            let v = (idx % 2 == 0) ^ init;
-            let which = usize::from(!take_a);
-            i += usize::from(take_a);
-            j += usize::from(!take_a);
-            if v {
-                s.handle::<true>(t, which)?;
-            } else {
-                s.handle::<false>(t, which)?;
-            }
-        }
-        s.finish()
-    }
-}
-
 impl TwoInputTransform for CachedHybridChannel {
     fn apply2(&self, a: &DigitalTrace, b: &DigitalTrace) -> Result<DigitalTrace, SimError> {
         let mut out = EdgeBuf::with_capacity(a.transition_count() + b.transition_count());
@@ -851,23 +810,42 @@ impl TwoInputTransform for CachedHybridChannel {
         Ok(out.to_trace())
     }
 
+    /// The SoA event loop: a two-pointer merge feeding the scheduler,
+    /// which flushes its event tallies into `stats` at the end.
     fn apply2_into(
-        &self,
-        a: TraceRef<'_>,
-        b: TraceRef<'_>,
-        out: &mut EdgeBuf,
-    ) -> Result<(), SimError> {
-        self.run_soa(a, b, out, ChannelCounters::disabled())
-    }
-
-    fn apply2_into_probed(
         &self,
         a: TraceRef<'_>,
         b: TraceRef<'_>,
         out: &mut EdgeBuf,
         stats: &ChannelCounters,
     ) -> Result<(), SimError> {
-        self.run_soa(a, b, out, stats)
+        let mut s = Scheduler::new(self, stats, a.initial_value(), b.initial_value(), out);
+        // Same two-pointer merge as `apply2`, over the SoA views with
+        // polarities by parity. Which input fires next is a coin flip to
+        // the branch predictor, so the selection is arranged as data flow
+        // (conditional moves on one compare) rather than control flow —
+        // only `handle`'s own state machine branches remain.
+        let (ta, tb) = (a.times(), b.times());
+        let (ia, ib) = (a.initial_value(), b.initial_value());
+        let (na, nb) = (ta.len(), tb.len());
+        let (mut i, mut j) = (0, 0);
+        while i < na || j < nb {
+            let tai = if i < na { ta[i] } else { f64::INFINITY };
+            let tbj = if j < nb { tb[j] } else { f64::INFINITY };
+            let take_a = tai <= tbj;
+            let t = if take_a { tai } else { tbj };
+            let (idx, init) = if take_a { (i, ia) } else { (j, ib) };
+            let v = (idx % 2 == 0) ^ init;
+            let which = usize::from(!take_a);
+            i += usize::from(take_a);
+            j += usize::from(!take_a);
+            if v {
+                s.handle::<true>(t, which)?;
+            } else {
+                s.handle::<false>(t, which)?;
+            }
+        }
+        s.finish()
     }
 
     fn name(&self) -> &str {
@@ -944,26 +922,15 @@ impl TwoInputTransform for CachedHybridNandChannel {
         a: TraceRef<'_>,
         b: TraceRef<'_>,
         out: &mut EdgeBuf,
+        stats: &ChannelCounters,
     ) -> Result<(), SimError> {
         // In the SoA representation NOT is free (flip the initial value,
         // keep the times), so the duality costs nothing: run the dual NOR
         // scheduler on inverted views and invert the result in place.
-        self.inner.apply2_into(a.inverted(), b.inverted(), out)?;
-        out.invert();
-        Ok(())
-    }
-
-    fn apply2_into_probed(
-        &self,
-        a: TraceRef<'_>,
-        b: TraceRef<'_>,
-        out: &mut EdgeBuf,
-        stats: &ChannelCounters,
-    ) -> Result<(), SimError> {
-        // The duality adapter is stats-transparent: the dual NOR
-        // scheduler's events are the NAND channel's events.
+        // The adapter is stats-transparent: the dual NOR scheduler's
+        // events are the NAND channel's events.
         self.inner
-            .apply2_into_probed(a.inverted(), b.inverted(), out, stats)?;
+            .apply2_into(a.inverted(), b.inverted(), out, stats)?;
         out.invert();
         Ok(())
     }

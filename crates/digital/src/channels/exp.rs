@@ -1,7 +1,7 @@
 use mis_waveform::{DigitalTrace, EdgeBuf, TraceRef};
 
 use crate::channels::{run_involution_channel, run_involution_into, TraceTransform};
-use crate::SimError;
+use crate::{ChannelCounters, SimError};
 
 /// The IDM exponential involution channel.
 ///
@@ -183,7 +183,12 @@ impl TraceTransform for ExpChannel {
     }
 
     #[inline]
-    fn apply_into(&self, input: TraceRef<'_>, out: &mut EdgeBuf) -> Result<(), SimError> {
+    fn apply_into(
+        &self,
+        input: TraceRef<'_>,
+        out: &mut EdgeBuf,
+        _stats: &ChannelCounters,
+    ) -> Result<(), SimError> {
         run_involution_into(
             input,
             input.initial_value(),

@@ -57,7 +57,7 @@ impl DelayBounds {
 /// data during `apply*` (per-application scheduler state lives on the
 /// stack), so one instance may be read from many threads at once. This is
 /// what lets a [`crate::Network`] — which stores its channels behind
-/// `Box<dyn TraceTransform>` — be shared across the `mis-sim` parallel
+/// `Box<dyn TraceTransform>` — be shared across the `mis-fault` campaign
 /// workers by reference.
 pub trait TraceTransform: Send + Sync {
     /// Applies the channel to a full input trace.
@@ -69,37 +69,26 @@ pub trait TraceTransform: Send + Sync {
     fn apply(&self, input: &DigitalTrace) -> Result<DigitalTrace, SimError>;
 
     /// Applies the channel to a borrowed SoA view, writing the result
-    /// into `out` (cleared first) — the arena hot path. The default
-    /// delegates to the allocating [`TraceTransform::apply`]; the
+    /// into `out` (cleared first) — the arena hot path. Channels that
+    /// track cancellations or pulse rejections record them into `stats`;
+    /// callers without a probe pass [`ChannelCounters::disabled`], whose
+    /// record calls are one branch each. The default delegates to the
+    /// allocating [`TraceTransform::apply`] and ignores `stats`; the
     /// workspace channels override it with allocation-free kernels.
     ///
     /// # Errors
     ///
     /// Same conditions as [`TraceTransform::apply`].
-    fn apply_into(&self, input: TraceRef<'_>, out: &mut EdgeBuf) -> Result<(), SimError> {
-        let result = self.apply(&input.to_trace())?;
-        out.copy_trace(&result);
-        Ok(())
-    }
-
-    /// [`TraceTransform::apply_into`] with channel-event accounting:
-    /// implementations that track cancellations or pulse rejections
-    /// record them into `stats`. The default ignores `stats` and
-    /// delegates, so every channel is probed-callable; behavior (the
-    /// output trace, the error cases, the zero-allocation guarantee)
-    /// is identical to the unprobed path by contract.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TraceTransform::apply_into`].
-    fn apply_into_probed(
+    fn apply_into(
         &self,
         input: TraceRef<'_>,
         out: &mut EdgeBuf,
         stats: &ChannelCounters,
     ) -> Result<(), SimError> {
         let _ = stats;
-        self.apply_into(input, out)
+        let result = self.apply(&input.to_trace())?;
+        out.copy_trace(&result);
+        Ok(())
     }
 
     /// A short human-readable name for reports.
@@ -118,8 +107,8 @@ pub trait TraceTransform: Send + Sync {
 /// that single-input channels structurally cannot.
 ///
 /// `Send + Sync` is a supertrait for the same reason as on
-/// [`TraceTransform`]: applications never mutate the channel, so shared
-/// cross-thread reads are sound by construction.
+/// [`TraceTransform`]: applications never mutate the channel, so the
+/// `mis-fault` campaign workers can share one network by reference.
 pub trait TwoInputTransform: Send + Sync {
     /// Applies the channel to a pair of input traces.
     ///
@@ -129,9 +118,10 @@ pub trait TwoInputTransform: Send + Sync {
     fn apply2(&self, a: &DigitalTrace, b: &DigitalTrace) -> Result<DigitalTrace, SimError>;
 
     /// Applies the channel to a pair of borrowed SoA views, writing the
-    /// result into `out` (cleared first) — the arena hot path. The
-    /// default delegates to the allocating
-    /// [`TwoInputTransform::apply2`].
+    /// result into `out` (cleared first) — the arena hot path. `stats`
+    /// receives channel events as in [`TraceTransform::apply_into`]. The
+    /// default delegates to the allocating [`TwoInputTransform::apply2`]
+    /// and ignores `stats`.
     ///
     /// # Errors
     ///
@@ -141,28 +131,12 @@ pub trait TwoInputTransform: Send + Sync {
         a: TraceRef<'_>,
         b: TraceRef<'_>,
         out: &mut EdgeBuf,
-    ) -> Result<(), SimError> {
-        let result = self.apply2(&a.to_trace(), &b.to_trace())?;
-        out.copy_trace(&result);
-        Ok(())
-    }
-
-    /// [`TwoInputTransform::apply2_into`] with channel-event
-    /// accounting — see [`TraceTransform::apply_into_probed`] for the
-    /// contract.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TwoInputTransform::apply2_into`].
-    fn apply2_into_probed(
-        &self,
-        a: TraceRef<'_>,
-        b: TraceRef<'_>,
-        out: &mut EdgeBuf,
         stats: &ChannelCounters,
     ) -> Result<(), SimError> {
         let _ = stats;
-        self.apply2_into(a, b, out)
+        let result = self.apply2(&a.to_trace(), &b.to_trace())?;
+        out.copy_trace(&result);
+        Ok(())
     }
 
     /// A short human-readable name for reports.
@@ -186,17 +160,13 @@ impl<T: TraceTransform + ?Sized> TraceTransform for std::sync::Arc<T> {
         (**self).apply(input)
     }
 
-    fn apply_into(&self, input: TraceRef<'_>, out: &mut EdgeBuf) -> Result<(), SimError> {
-        (**self).apply_into(input, out)
-    }
-
-    fn apply_into_probed(
+    fn apply_into(
         &self,
         input: TraceRef<'_>,
         out: &mut EdgeBuf,
         stats: &ChannelCounters,
     ) -> Result<(), SimError> {
-        (**self).apply_into_probed(input, out, stats)
+        (**self).apply_into(input, out, stats)
     }
 
     fn name(&self) -> &str {
@@ -218,18 +188,9 @@ impl<T: TwoInputTransform + ?Sized> TwoInputTransform for std::sync::Arc<T> {
         a: TraceRef<'_>,
         b: TraceRef<'_>,
         out: &mut EdgeBuf,
-    ) -> Result<(), SimError> {
-        (**self).apply2_into(a, b, out)
-    }
-
-    fn apply2_into_probed(
-        &self,
-        a: TraceRef<'_>,
-        b: TraceRef<'_>,
-        out: &mut EdgeBuf,
         stats: &ChannelCounters,
     ) -> Result<(), SimError> {
-        (**self).apply2_into_probed(a, b, out, stats)
+        (**self).apply2_into(a, b, out, stats)
     }
 
     fn name(&self) -> &str {

@@ -1,7 +1,7 @@
 use mis_waveform::{DigitalTrace, EdgeBuf, TraceRef};
 
 use crate::channels::{DelayBounds, TraceTransform};
-use crate::SimError;
+use crate::{ChannelCounters, SimError};
 
 /// The pure (constant) delay channel: every edge is shifted by a fixed
 /// amount; nothing is ever filtered.
@@ -54,7 +54,12 @@ impl TraceTransform for PureDelayChannel {
     }
 
     #[inline]
-    fn apply_into(&self, input: TraceRef<'_>, out: &mut EdgeBuf) -> Result<(), SimError> {
+    fn apply_into(
+        &self,
+        input: TraceRef<'_>,
+        out: &mut EdgeBuf,
+        _stats: &ChannelCounters,
+    ) -> Result<(), SimError> {
         out.clear(input.initial_value());
         for &t in input.times() {
             out.push_time(t + self.delay)?;

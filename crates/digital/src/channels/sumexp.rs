@@ -1,7 +1,7 @@
 use mis_waveform::{DigitalTrace, EdgeBuf, TraceRef};
 
 use crate::channels::{run_involution_channel, run_involution_into, TraceTransform};
-use crate::SimError;
+use crate::{ChannelCounters, SimError};
 
 /// An involution channel whose switching waveform is a **sum of two
 /// exponentials** — the Involution Tool's richer channel family (the paper
@@ -170,7 +170,12 @@ impl TraceTransform for SumExpChannel {
     }
 
     #[inline]
-    fn apply_into(&self, input: TraceRef<'_>, out: &mut EdgeBuf) -> Result<(), SimError> {
+    fn apply_into(
+        &self,
+        input: TraceRef<'_>,
+        out: &mut EdgeBuf,
+        _stats: &ChannelCounters,
+    ) -> Result<(), SimError> {
         run_involution_into(
             input,
             input.initial_value(),

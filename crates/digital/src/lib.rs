@@ -30,13 +30,15 @@
 //!
 //! # The arena hot path
 //!
-//! Every channel trait carries an in-place variant
+//! Every channel trait carries one in-place method
 //! ([`TraceTransform::apply_into`] / [`TwoInputTransform::apply2_into`])
-//! over borrowed structure-of-arrays views, and
+//! over borrowed structure-of-arrays views, recording channel events
+//! into a [`ChannelCounters`] sink (disabled when nobody is watching).
 //! [`Network::run_in`] evaluates a whole netlist into a reusable
 //! [`mis_waveform::TraceArena`]: input traces are copied into flat
-//! storage, each gate runs as a fused ideal-gate + channel pass through
-//! the arena's staging buffers, and a warm arena makes repeated
+//! storage, each gate runs through the per-gate kernel
+//! [`SignalSource::eval_in`] (a fused ideal-gate + channel pass through
+//! the arena's staging buffers), and a warm arena makes repeated
 //! evaluations allocation-free. [`Network::run`] remains as the
 //! allocating compatibility wrapper; [`netlists`] builds the benchmark
 //! circuits (ripple chains, the ISCAS-85 C17 cut, fan-out trees).

@@ -1,7 +1,7 @@
 use mis_waveform::{DigitalTrace, TraceArena};
 
 use crate::channels::{TraceTransform, TwoInputTransform};
-use crate::{gates, SimError};
+use crate::{gates, ChannelCounters, SimError};
 
 /// Handle to a signal in a [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,11 +46,11 @@ impl GateKind {
     }
 
     /// The Boolean function of a binary gate; `None` for the unary kinds.
-    /// Exposed so external evaluators (the `mis-sim` event engine) run the
-    /// exact same fused gate kernels as [`Network::run_in`].
+    /// [`SignalSource::eval_in`] dispatches on it: a binary function is
+    /// one `gates::combine2_into` pass, a unary gate reads its input view.
     #[inline]
     #[must_use]
-    pub fn func2(self) -> Option<fn(bool, bool) -> bool> {
+    fn func2(self) -> Option<fn(bool, bool) -> bool> {
         match self {
             GateKind::Buf | GateKind::Not => None,
             GateKind::And => Some(|x, y| x && y),
@@ -77,9 +77,9 @@ enum Source {
 
 /// A borrowed view of how one signal in a [`Network`] is produced,
 /// returned by [`Network::source`]. This is what lets external engines
-/// (the `mis-sim` event-queue evaluator) walk a network's topology and
-/// re-run its gates through the very same channel objects, guaranteeing
-/// bit-identical per-gate results.
+/// (the `mis-sim` signal-order evaluator) walk a network's topology and
+/// re-run its gates through [`SignalSource::eval_in`], the per-gate
+/// kernel [`Network::run_in`] runs, on the very same channel objects.
 pub enum SignalSource<'a> {
     /// A primary input.
     Input,
@@ -301,11 +301,11 @@ impl Network {
     /// reset first (capacity retained), so repeated calls with inputs of
     /// similar edge counts perform **zero** heap allocations on the
     /// steady-state path: input traces are copied into the flat
-    /// time array (not cloned), each `Source::Gate` runs as a fused
-    /// ideal-gate + channel pass through the arena's staging buffers
-    /// (unary gates skip the gate pass entirely — in the SoA
-    /// representation NOT is an initial-value flip), and every ported
-    /// channel writes its result in place.
+    /// time array (not cloned), and every gate, in signal order, runs
+    /// through [`SignalSource::eval_in`] into the arena's staging
+    /// buffers — the per-gate kernel the `mis-sim` engine runs too, so
+    /// this is its reference. No probe is attached: channels record
+    /// into [`ChannelCounters::disabled`].
     ///
     /// # Errors
     ///
@@ -342,60 +342,13 @@ impl Network {
             });
         }
         arena.reset();
-        for (i, source) in self.sources.iter().enumerate() {
-            match source {
-                Source::Input => {
-                    arena.push_trace(&inputs[i]);
-                }
-                Source::Gate {
-                    kind,
-                    inputs: gin,
-                    channel,
-                } => match kind.func2() {
-                    None => {
-                        // Unary gate: the view itself is the ideal output.
-                        let invert = matches!(kind, GateKind::Not);
-                        match channel {
-                            None => {
-                                arena.push_duplicate(gin[0].0, invert);
-                            }
-                            Some(ch) => {
-                                let (sealed, out, _) = arena.stage();
-                                let mut view = sealed.trace(gin[0].0);
-                                if invert {
-                                    view = view.inverted();
-                                }
-                                ch.apply_into(view, out)?;
-                                arena.seal_out();
-                            }
-                        }
-                    }
-                    Some(f) => {
-                        let (sealed, out, scratch) = arena.stage();
-                        let va = sealed.trace(gin[0].0);
-                        let vb = sealed.trace(gin[1].0);
-                        match channel {
-                            None => gates::combine2_into(f, va, vb, out)?,
-                            Some(ch) => {
-                                // Fused pass: the ideal trace streams
-                                // through the reusable scratch buffer and
-                                // never materializes as an owned trace.
-                                gates::combine2_into(f, va, vb, scratch)?;
-                                ch.apply_into(scratch.as_ref(), out)?;
-                            }
-                        }
-                        arena.seal_out();
-                    }
-                },
-                Source::TwoInputChannelGate {
-                    inputs: gin,
-                    channel,
-                } => {
-                    let (sealed, out, _) = arena.stage();
-                    channel.apply2_into(sealed.trace(gin[0].0), sealed.trace(gin[1].0), out)?;
-                    arena.seal_out();
-                }
-            }
+        for input in inputs {
+            arena.push_trace(input);
+        }
+        let stats = ChannelCounters::disabled();
+        for s in self.input_count..self.sources.len() {
+            self.source(SignalId(s))
+                .eval_in(arena, SignalId::index, stats)?;
         }
         Ok(())
     }
@@ -409,6 +362,90 @@ impl Network {
             }
         }
         Ok(())
+    }
+}
+
+impl SignalSource<'_> {
+    /// Evaluates this gate and seals its output as the next span of
+    /// `arena` — the per-gate kernel of every evaluator:
+    /// [`Network::run_in`] and the `mis-sim` engine both call it, so a
+    /// gate's output is a pure function of its fan-in traces computed by
+    /// one piece of code.
+    ///
+    /// `span_of` maps a fan-in signal to the arena span holding its
+    /// sealed trace ([`SignalId::index`] for [`Network::run_in`]; the
+    /// engine resolves through its span map, which overlay rewrites
+    /// redirect). Channels record their events into `stats`; callers
+    /// without a probe pass [`ChannelCounters::disabled`].
+    ///
+    /// A channel-less unary gate is a span duplicate (in the SoA layout
+    /// NOT is an initial-value flip), so it skips the staging buffers.
+    /// A binary gate with a channel is one fused pass: the ideal trace
+    /// streams through the arena's scratch buffer into the channel and
+    /// never materializes as an owned trace.
+    ///
+    /// Returns the sealed span and whether the gate was a duplicate.
+    ///
+    /// # Errors
+    ///
+    /// Propagates channel failures.
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`SignalSource::Input`]: callers seal input traces
+    /// themselves.
+    pub fn eval_in<F>(
+        self,
+        arena: &mut TraceArena,
+        span_of: F,
+        stats: &ChannelCounters,
+    ) -> Result<(usize, bool), SimError>
+    where
+        F: Fn(SignalId) -> usize,
+    {
+        match self {
+            SignalSource::Input => panic!("inputs are sealed before gate evaluation"),
+            SignalSource::Gate {
+                kind,
+                inputs,
+                channel,
+            } => {
+                let invert = matches!(kind, GateKind::Not);
+                match (kind.func2(), channel) {
+                    (None, None) => {
+                        return Ok((arena.push_duplicate(span_of(inputs[0]), invert), true));
+                    }
+                    (None, Some(ch)) => {
+                        let (sealed, out, _) = arena.stage();
+                        let mut view = sealed.trace(span_of(inputs[0]));
+                        if invert {
+                            view = view.inverted();
+                        }
+                        ch.apply_into(view, out, stats)?;
+                    }
+                    (Some(f), None) => {
+                        let (sealed, out, _) = arena.stage();
+                        let va = sealed.trace(span_of(inputs[0]));
+                        let vb = sealed.trace(span_of(inputs[1]));
+                        gates::combine2_into(f, va, vb, out)?;
+                    }
+                    (Some(f), Some(ch)) => {
+                        let (sealed, out, scratch) = arena.stage();
+                        let va = sealed.trace(span_of(inputs[0]));
+                        let vb = sealed.trace(span_of(inputs[1]));
+                        gates::combine2_into(f, va, vb, scratch)?;
+                        ch.apply_into(scratch.as_ref(), out, stats)?;
+                    }
+                }
+            }
+            SignalSource::TwoInputChannelGate { inputs, channel } => {
+                let (sealed, out, _) = arena.stage();
+                let va = sealed.trace(span_of(inputs[0]));
+                let vb = sealed.trace(span_of(inputs[1]));
+                channel.apply2_into(va, vb, out, stats)?;
+            }
+        }
+        Ok((arena.seal_out(), false))
     }
 }
 
@@ -529,9 +566,9 @@ mod tests {
     fn network_is_shareable_across_threads() {
         // The channel traits carry `Send + Sync` supertraits, so a built
         // network (channels boxed behind `dyn` pointers included) can be
-        // borrowed by parallel evaluation workers. A compile-time fact,
-        // asserted here so a regression is a readable test failure rather
-        // than a distant trait-bound error in `mis-sim`.
+        // borrowed by the `mis-fault` campaign workers. A compile-time
+        // fact, asserted here so a regression is a readable test failure
+        // rather than a distant trait-bound error in `mis-fault`.
         fn assert_shareable<T: Send + Sync>() {}
         assert_shareable::<Network>();
     }

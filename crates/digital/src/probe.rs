@@ -1,13 +1,12 @@
-//! Channel-level instrumentation: the counter bundle the probed
-//! `apply*` entry points record into.
+//! Channel-level instrumentation: the counter bundle the in-place
+//! `apply_into`/`apply2_into` channel methods record into.
 //!
 //! The cached scheduler's hot loop counts events in plain local `u64`s
 //! (an unconditional register increment is cheaper than even the
 //! disabled-probe branch) and flushes the totals into the shared
 //! [`ChannelCounters`] once per application, so instrumentation costs
-//! the event loop nothing and the unprobed entry points — which flush
-//! into the [`ChannelCounters::disabled`] sink — stay bit-identical in
-//! behavior.
+//! the event loop nothing and unprobed callers — which pass the
+//! [`ChannelCounters::disabled`] sink — run the very same code.
 
 use std::sync::OnceLock;
 
@@ -41,7 +40,7 @@ impl ChannelCounters {
         }
     }
 
-    /// The shared no-op bundle the unprobed entry points flush into:
+    /// The shared no-op bundle unprobed callers pass as `stats`:
     /// every record call is one predictable branch on a pre-loaded
     /// `false`, so the unprobed hot paths pay nothing measurable.
     #[must_use]

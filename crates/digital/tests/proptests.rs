@@ -10,9 +10,9 @@ use std::sync::OnceLock;
 use mis_charlib::{CharConfig, CharLib};
 use mis_core::NorParams;
 use mis_digital::{
-    gates, involution, CachedHybridChannel, CachedHybridNandChannel, ExpChannel, GateKind,
-    HybridNorChannel, InertialChannel, Network, PureDelayChannel, SumExpChannel, TraceTransform,
-    TwoInputTransform,
+    gates, involution, CachedHybridChannel, CachedHybridNandChannel, ChannelCounters, ExpChannel,
+    GateKind, HybridNorChannel, InertialChannel, Network, PureDelayChannel, SumExpChannel,
+    TraceTransform, TwoInputTransform,
 };
 use mis_testkit::prelude::*;
 use mis_testkit::rng::TestRng;
@@ -393,7 +393,8 @@ fn apply_into_bit_identical_to_apply_for_every_channel() {
         for ch in 1..5 {
             let c = spec_channel(ch).unwrap();
             let want = c.apply(&input).unwrap();
-            c.apply_into(view.as_ref(), &mut out).unwrap();
+            c.apply_into(view.as_ref(), &mut out, ChannelCounters::disabled())
+                .unwrap();
             prop_assert_eq!(out.to_trace(), want, "channel {}", c.name());
         }
         Ok(())
@@ -411,12 +412,23 @@ fn apply2_into_bit_identical_to_apply2_for_cached_channels() {
         let mut out = EdgeBuf::new();
 
         let nor = CachedHybridChannel::new(shared_lib()).unwrap();
-        nor.apply2_into(va.as_ref(), vb.as_ref(), &mut out).unwrap();
+        nor.apply2_into(
+            va.as_ref(),
+            vb.as_ref(),
+            &mut out,
+            ChannelCounters::disabled(),
+        )
+        .unwrap();
         prop_assert_eq!(out.to_trace(), nor.apply2(&a, &b).unwrap(), "cached NOR");
 
         let nand = CachedHybridNandChannel::from_dual(shared_lib()).unwrap();
-        nand.apply2_into(va.as_ref(), vb.as_ref(), &mut out)
-            .unwrap();
+        nand.apply2_into(
+            va.as_ref(),
+            vb.as_ref(),
+            &mut out,
+            ChannelCounters::disabled(),
+        )
+        .unwrap();
         prop_assert_eq!(out.to_trace(), nand.apply2(&a, &b).unwrap(), "cached NAND");
         Ok(())
     });

@@ -11,8 +11,6 @@ use crate::json;
 pub enum MetricValue {
     /// A counter's current count.
     Counter(u64),
-    /// A gauge's current value.
-    Gauge(u64),
     /// A span timer's aggregates.
     Timer {
         /// Closed spans.
@@ -42,19 +40,18 @@ impl MetricValue {
     pub fn kind(&self) -> &'static str {
         match self {
             MetricValue::Counter(_) => "counter",
-            MetricValue::Gauge(_) => "gauge",
             MetricValue::Timer { .. } => "timer",
             MetricValue::Histogram { .. } => "histogram",
         }
     }
 
-    /// The scalar value of a counter or gauge; `None` for the
+    /// The scalar value of a counter; `None` for the
     /// aggregate kinds. The `sim_profile --expect` gate compares
     /// against this.
     #[must_use]
     pub fn scalar(&self) -> Option<u64> {
         match self {
-            MetricValue::Counter(v) | MetricValue::Gauge(v) => Some(*v),
+            MetricValue::Counter(v) => Some(*v),
             _ => None,
         }
     }
@@ -111,7 +108,7 @@ impl ProbeReport {
                 r.value.kind()
             );
             match &r.value {
-                MetricValue::Counter(v) | MetricValue::Gauge(v) => {
+                MetricValue::Counter(v) => {
                     let _ = write!(s, ",\"value\":{v}");
                 }
                 MetricValue::Timer {
@@ -156,7 +153,6 @@ impl fmt::Display for ProbeReport {
             write!(f, "  {:width$}  ", r.name)?;
             match &r.value {
                 MetricValue::Counter(v) => writeln!(f, "counter    {v}")?,
-                MetricValue::Gauge(v) => writeln!(f, "gauge      {v}")?,
                 MetricValue::Timer {
                     count,
                     total_ns,
@@ -194,8 +190,7 @@ mod tests {
     fn sample_probe() -> Probe {
         let p = Probe::new();
         p.counter("sim.events").add(42);
-        p.gauge("sim.heap_hw").record_max(9);
-        p.timer("par.merge")
+        p.timer("sim.run_time")
             .record(std::time::Duration::from_nanos(1500));
         let h = p.histogram("sim.edges_per_gate");
         for v in [1u64, 2, 3, 4, 100] {
@@ -225,7 +220,7 @@ mod tests {
         assert!(line.starts_with("{\"probe\":{"));
         assert!(line.contains("\"sim.events\":{\"kind\":\"counter\",\"value\":42}"));
         assert!(line.contains(
-            "\"par.merge\":{\"kind\":\"timer\",\"count\":1,\"total_ns\":1500,\"max_ns\":1500}"
+            "\"sim.run_time\":{\"kind\":\"timer\",\"count\":1,\"total_ns\":1500,\"max_ns\":1500}"
         ));
         assert_eq!(line, report.to_json_line());
     }
@@ -245,13 +240,8 @@ mod tests {
     #[test]
     fn text_report_lists_every_metric() {
         let text = sample_probe().report().to_string();
-        assert!(text.starts_with("probe report (4 metrics)"));
-        for name in [
-            "par.merge",
-            "sim.edges_per_gate",
-            "sim.events",
-            "sim.heap_hw",
-        ] {
+        assert!(text.starts_with("probe report (3 metrics)"));
+        for name in ["sim.edges_per_gate", "sim.events", "sim.run_time"] {
             assert!(text.contains(name), "{text}");
         }
     }

@@ -119,11 +119,12 @@ pub(crate) struct BudgetMeter<'b> {
 
 impl<'b> BudgetMeter<'b> {
     /// Starts metering a run: resolves the deadline against the current
-    /// clock (the only clock read unless a deadline is set).
+    /// clock (the only clock read unless a deadline is set). A deadline
+    /// too far out to represent as an [`Instant`] never trips.
     pub(crate) fn start(budget: &'b RunBudget) -> Self {
         BudgetMeter {
             budget,
-            deadline_at: budget.deadline.map(|d| Instant::now() + d),
+            deadline_at: budget.deadline.and_then(|d| Instant::now().checked_add(d)),
             events: 0,
             edges: 0,
         }

@@ -2,14 +2,14 @@
 //! controls a timing tool needs around it.
 //!
 //! `Network::run_in` is the reference evaluation: every gate, in signal
-//! order, through the fused ideal-gate + channel passes. Signal order is
-//! already topological, because the `Network` builder rejects a gate
-//! that references an undeclared signal and declares every input before
-//! the first gate. [`Simulator`] walks the same order with the same
-//! kernel (`crate::kernel::eval_signal_into`), so a gate's output is a
-//! pure function of its already-sealed fan-in traces and the engine is
-//! **bit-identical** to the reference — asserted by the `mis-sim` suite
-//! on every `mis_digital::netlists` topology and on random DAGs.
+//! order, through the per-gate kernel `SignalSource::eval_in`. Signal
+//! order is already topological, because the `Network` builder rejects a
+//! gate that references an undeclared signal and declares every input
+//! before the first gate. [`Simulator`] walks the same order and calls
+//! the same function, so a gate's output is a pure function of its
+//! already-sealed fan-in traces and the engine is **bit-identical** to
+//! the reference — asserted by the `mis-sim` suite on every
+//! `mis_digital::netlists` topology and on random DAGs.
 //!
 //! What the engine adds is what the reference lacks:
 //!
@@ -48,14 +48,32 @@
 //! # }
 //! ```
 
-use mis_digital::{Network, SignalId, SignalSource, SimError};
+use mis_digital::{Network, SignalId, SimError};
 use mis_probe::{Probe, TraceSink};
 use mis_waveform::{DigitalTrace, TraceArena, TraceRef};
 
 use crate::budget::{BudgetMeter, RunBudget};
-use crate::kernel;
 use crate::overlay::{rewrite_span, TraceOverlay};
 use crate::probe::{census_index, SimCounters, SimTracer};
+
+/// The largest signal count the engine can address: it stores signal
+/// and span indices as `u32`. [`Simulator::new`] rejects anything
+/// larger as [`SimError::NetworkTooLarge`]; static analysis compares
+/// [`crate::bench::BenchNetlist::lowered_stats`] against this limit to
+/// predict that rejection before allocation.
+pub const ENGINE_INDEX_MAX: usize = u32::MAX as usize;
+
+/// Rejects a signal count that would truncate in the engine's `u32`
+/// indices, as [`SimError::NetworkTooLarge`].
+fn check_index_width(count: usize) -> Result<(), SimError> {
+    if count > ENGINE_INDEX_MAX {
+        return Err(SimError::NetworkTooLarge {
+            count,
+            max: ENGINE_INDEX_MAX,
+        });
+    }
+    Ok(())
+}
 
 /// A signal-order evaluator over a borrowed [`Network`] — see the
 /// module docs for the bit-identity argument.
@@ -126,7 +144,7 @@ impl<'n> Simulator<'n> {
         tracer: SimTracer,
     ) -> Result<Self, SimError> {
         let n = net.signal_count();
-        kernel::check_index_width(n)?;
+        check_index_width(n)?;
         Ok(Simulator {
             net,
             span_of: vec![0; n],
@@ -304,8 +322,8 @@ impl<'n> Simulator<'n> {
     }
 
     /// Evaluates one gate through the shared per-gate kernel
-    /// ([`crate::kernel::eval_signal_into`]) and seals its output span,
-    /// applying any overlay rewrite before the span is published.
+    /// ([`mis_digital::SignalSource::eval_in`]) and seals its output
+    /// span, applying any overlay rewrite before the span is published.
     /// Returns whether the gate resolved as a duplicate-span shortcut
     /// (the run loop's duplicate tally).
     fn eval(
@@ -314,16 +332,13 @@ impl<'n> Simulator<'n> {
         arena: &mut TraceArena,
         overlay: Option<&dyn TraceOverlay>,
     ) -> Result<bool, SimError> {
-        let net = self.net;
-        let id = net.signal_id(s).expect("s < signal_count");
-        let source = net.source(id);
-        let (mut span, dup) = match kernel::duplicate_shortcut(&source) {
-            Some((src, invert)) => (
-                arena.push_duplicate(self.span_of[src.index()] as usize, invert),
-                true,
-            ),
-            None => (self.eval_staged(source, arena)?, false),
-        };
+        let id = self.net.signal_id(s).expect("s < signal_count");
+        let span_of = &self.span_of;
+        let (mut span, dup) = self.net.source(id).eval_in(
+            arena,
+            |fanin| span_of[fanin.index()] as usize,
+            self.counters.channels(),
+        )?;
         if let Some(ov) = overlay {
             if ov.rewrites(id) {
                 span = rewrite_span(arena, span, id, ov)?;
@@ -332,25 +347,6 @@ impl<'n> Simulator<'n> {
         // Lossless: spans per run = signal count, checked at construction.
         self.span_of[s] = span as u32;
         Ok(dup)
-    }
-
-    /// The staging-buffer path of [`Simulator::eval`]: runs the shared
-    /// kernel against the sealed arena storage and seals the result.
-    fn eval_staged(
-        &mut self,
-        source: SignalSource<'_>,
-        arena: &mut TraceArena,
-    ) -> Result<usize, SimError> {
-        let span_of = &self.span_of;
-        let (sealed, out, scratch) = arena.stage();
-        kernel::eval_signal_into(
-            source,
-            |sid| sealed.trace(span_of[sid.index()] as usize),
-            out,
-            scratch,
-            self.counters.channels(),
-        )?;
-        Ok(arena.seal_out())
     }
 }
 
@@ -402,6 +398,20 @@ mod tests {
         .unwrap();
         assert_eq!(sim.trace(&arena, n2).to_trace(), want[n2.index()]);
         assert_eq!(sim.trace(&arena, n1).to_trace(), want[n1.index()]);
+    }
+
+    #[test]
+    fn index_width_boundary() {
+        assert!(check_index_width(0).is_ok());
+        assert!(check_index_width(u32::MAX as usize).is_ok());
+        let err = check_index_width(u32::MAX as usize + 1).unwrap_err();
+        match err {
+            SimError::NetworkTooLarge { count, max } => {
+                assert_eq!(count, u32::MAX as usize + 1);
+                assert_eq!(max, u32::MAX as usize);
+            }
+            other => panic!("expected NetworkTooLarge, got {other:?}"),
+        }
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!   fallback for the non-hybrid gate kinds.
 //! * [`engine`] — [`Simulator`], the netlist evaluator: every gate in
 //!   signal order (already topological, by the `Network` builder's
-//!   reference-before-use rule) through the same fused arena kernels
-//!   as `Network::run_in`, bit-identical to it and allocation-free on a
-//!   warm arena.
+//!   reference-before-use rule) through the per-gate kernel
+//!   `Network::run_in` runs (`SignalSource::eval_in`), bit-identical to
+//!   it and allocation-free on a warm arena.
 //!
 //! Two run controls thread through the engine: [`mod@budget`] bounds a
 //! run (events, edges, deadline) with a graceful
@@ -62,15 +62,13 @@ pub mod budget;
 pub mod cells;
 pub mod engine;
 mod error;
-mod kernel;
 pub mod overlay;
 pub mod probe;
 
 pub use bench::{BenchFunc, BenchGate, BenchNetlist, LoweredNetlist, LoweredStats};
 pub use budget::RunBudget;
 pub use cells::CellLibrary;
-pub use engine::Simulator;
+pub use engine::{Simulator, ENGINE_INDEX_MAX};
 pub use error::BenchError;
-pub use kernel::ENGINE_INDEX_MAX;
 pub use overlay::TraceOverlay;
 pub use probe::{SimCounters, SimTracer};

@@ -165,6 +165,22 @@ fn generous_deadline_does_not_trip() {
 }
 
 #[test]
+fn unrepresentable_deadline_never_trips() {
+    // `Instant::now() + Duration::MAX` overflows; the meter must treat
+    // such a deadline as "never", not panic.
+    let lowered = lowered("c432.bench");
+    let inputs = traffic(lowered.inputs.len(), 0x432);
+    let mut sim = Simulator::new(&lowered.net).expect("engine");
+    let mut arena = TraceArena::new();
+    sim.run_budgeted_in(
+        &inputs,
+        &mut arena,
+        &RunBudget::UNLIMITED.with_deadline(Duration::MAX),
+    )
+    .expect("an unrepresentable deadline never trips");
+}
+
+#[test]
 fn a_tripped_run_leaves_engine_and_arena_reusable() {
     let lowered = lowered("c432.bench");
     let inputs = traffic(lowered.inputs.len(), 0x432);

@@ -36,7 +36,7 @@
 //! Thread-locality cuts both ways and is the *intended* semantics: a
 //! [`count_in`] assertion is **serial-scoped** — it observes exactly the
 //! allocations of the closure on the calling thread. Work the closure
-//! fans out to other threads (e.g. the `mis-sim` parallel engine's
+//! fans out to other threads (e.g. the `mis-fault` campaign's
 //! scoped workers) is invisible to the count, apart from the spawn
 //! machinery itself, which allocates on the calling thread. Zero-
 //! allocation guarantees in this workspace are therefore claims about

@@ -288,12 +288,6 @@ impl EdgeBuf {
         self.times.extend(trace.edges().iter().map(|e| e.time));
     }
 
-    /// Replaces the contents with a copy of `view`.
-    pub fn copy_ref(&mut self, view: TraceRef<'_>) {
-        self.clear(view.initial_value());
-        self.times.extend_from_slice(view.times());
-    }
-
     /// Materializes the buffer as an owned [`DigitalTrace`] (allocates).
     #[must_use]
     pub fn to_trace(&self) -> DigitalTrace {
@@ -470,16 +464,6 @@ impl TraceArena {
         self.seal_span(start, trace.initial_value())
     }
 
-    /// Copies a borrowed view into the arena as the next sealed span,
-    /// returning its index. The view may live in *another* arena — this
-    /// is how the `mis-sim` parallel engine merges worker-owned arenas
-    /// into one result arena without materializing owned traces.
-    pub fn push_view(&mut self, view: TraceRef<'_>) -> usize {
-        let start = self.times.len();
-        self.times.extend_from_slice(view.times());
-        self.seal_span(start, view.initial_value())
-    }
-
     /// Seals a copy of an already-sealed span (optionally inverted — the
     /// zero-time BUF/NOT gates), returning the new index.
     ///
@@ -613,18 +597,6 @@ mod tests {
         assert!(arena.trace(c).initial_value());
         assert_eq!(arena.trace(c).times(), arena.trace(a).times());
         assert_eq!(arena.total_edges(), 4);
-    }
-
-    #[test]
-    fn push_view_copies_across_arenas() {
-        let mut src = TraceArena::new();
-        let a = src.push_trace(&pulse(1.0, 2.0));
-        let mut dst = TraceArena::new();
-        dst.push_trace(&DigitalTrace::constant(true));
-        let b = dst.push_view(src.trace(a).inverted());
-        assert_eq!(dst.trace(b).times(), &[1.0, 2.0]);
-        assert!(dst.trace(b).initial_value());
-        assert_eq!(dst.to_trace(b), src.trace(a).inverted().to_trace());
     }
 
     #[test]

@@ -21,6 +21,12 @@ cargo test -q --workspace --offline
 echo "== cargo doc --offline --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --quiet
 
+# perfbench is its own Cargo workspace (the repo benchmark), so the
+# workspace legs above never compile it: check it against the current
+# crates so an API change cannot break the benchmark unnoticed.
+echo "== cargo check perfbench (separate workspace)"
+cargo check --offline --manifest-path perfbench/Cargo.toml --all-targets
+
 # Optional: CI-scale benchmark smoke + regression gate (quick-mode runs
 # of the harness = false bench targets, diffed against the committed
 # BENCH_*.json baselines; >25 % median regression on any existing id
@@ -117,6 +123,12 @@ if [[ "${CI_BENCH:-0}" != "0" ]]; then
     echo "== differential-fuzz smoke (fault_sim --fuzz 16)"
     cargo run --release -q -p mis-bench --bin fault_sim --offline -- \
         --fuzz 16 --workers 4 > /dev/null
+    # perfbench's own tests: the benchmark reproduces CI's pinned C880
+    # engine counts and coverage, reports exactly the metrics
+    # BENCHMARK.json lists, and repeats its statistics for one seed.
+    # About two minutes on a 2-CPU host.
+    echo "== perfbench tests"
+    cargo test --offline --manifest-path perfbench/Cargo.toml
     echo "== bench regression gate (scripts/bench_diff.sh)"
     scripts/bench_diff.sh
 fi

@@ -21,8 +21,8 @@
 //! * [`sim`] (`mis-sim`) — event-driven netlist simulation at circuit
 //!   scale: ISCAS-85 `.bench` ingestion (committed C17 and C432-scale
 //!   fixtures under `data/bench/`), `Arc`-shared standard-cell libraries,
-//!   and the event-queue evaluator bit-identical to `digital`'s
-//!   levelized sweep.
+//!   and the signal-order evaluator, bit-identical to `digital`'s
+//!   `Network::run_in` because both run the same per-gate kernel.
 //! * [`analyze`] (`mis-analyze`) — static netlist analysis: structural
 //!   lints over `.bench` netlists (stable `A001`–`A007` diagnostics with
 //!   source-line anchors) and static timing bounds — per-signal arrival
