@@ -24,9 +24,12 @@
 //!   against, plus per-level `level.L<n>.eval_ns` probe histograms.
 //!
 //! The load-bearing guarantee is **soundness**: every transition the
-//! event-driven [`mis_sim::Simulator`] (and its parallel twin) emits
-//! lands inside its signal's statically computed window — on random
-//! DAGs over every channel kind and on the committed ISCAS fixtures.
+//! event-driven [`mis_sim::Simulator`] emits lands inside its signal's
+//! statically computed window — on random DAGs over every channel kind
+//! (NAND cells as [`mis_digital::NandDual`], whose bounds are the dual
+//! NOR's) and on the committed ISCAS fixtures under each
+//! [`mis_sim::CellLibrary`] realization (ideal, inertial, cached
+//! hybrid).
 //! The property suite in `tests/proptests.rs` enforces exactly that;
 //! the inductive argument lives in the [`sta`] module docs.
 //!

@@ -22,7 +22,7 @@ use mis_analyze::{lint, LintConfig, TimingAnalysis, Window};
 use mis_charlib::{CharConfig, CharLib};
 use mis_core::NorParams;
 use mis_digital::{
-    CachedHybridChannel, CachedHybridNandChannel, ExpChannel, GateKind, InertialChannel, Network,
+    CachedHybridChannel, ExpChannel, GateKind, InertialChannel, NandDual, Network,
     PureDelayChannel, SumExpChannel, TraceTransform, TwoInputTransform,
 };
 use mis_sim::{BenchNetlist, CellLibrary, Simulator};
@@ -141,7 +141,9 @@ fn random_network(rng: &mut TestRng) -> Network {
             }
             _ => {
                 let channel: Box<dyn TwoInputTransform> = if rng.gen_bool(0.5) {
-                    Box::new(CachedHybridNandChannel::from_dual(shared_lib()).unwrap())
+                    Box::new(NandDual::new(
+                        CachedHybridChannel::new(shared_lib()).unwrap(),
+                    ))
                 } else {
                     Box::new(CachedHybridChannel::new(shared_lib()).unwrap())
                 };

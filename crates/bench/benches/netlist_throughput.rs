@@ -37,8 +37,8 @@
 use std::path::PathBuf;
 
 use mis_charlib::CharLib;
-use mis_digital::netlists::{self, CachedHybridFactory, ChannelPerGate};
-use mis_digital::{GateKind, InertialChannel, Network, TraceTransform};
+use mis_digital::netlists;
+use mis_digital::{GateKind, InertialChannel, Network};
 use mis_sim::{BenchNetlist, CellLibrary, Simulator};
 use mis_testkit::bench::Harness;
 use mis_waveform::generate::{Assignment, TraceConfig};
@@ -51,10 +51,6 @@ fn workspace_root() -> PathBuf {
 
 fn inertial_proto() -> InertialChannel {
     InertialChannel::symmetric(ps(50.0), ps(38.0)).expect("channel")
-}
-
-fn inertial() -> Option<Box<dyn TraceTransform>> {
-    Some(Box::new(inertial_proto()))
 }
 
 /// Two 100-transition-per-input streams (the netlists re-use input `b`
@@ -140,14 +136,16 @@ fn main() {
     let lib_text = std::fs::read_to_string(workspace_root().join("data/charlib/nor_paper.mislib"))
         .expect("committed NOR library (regenerate: cargo run -p mis-bench --bin make_data)");
     let lib = CharLib::from_text(&lib_text).expect("committed library parses");
-    let mut cached = CachedHybridFactory::new(&lib).expect("factory");
+    // One cell library per model: the cached cells share one table set
+    // across every netlist below, the inertial cells clone one channel.
+    let cached = CellLibrary::hybrid(&lib, Some(inertial_proto())).expect("cell library");
+    let inertial = CellLibrary::inertial(inertial_proto());
 
-    let chain_cached = netlists::ripple_chain(GateKind::Nor, 8, &mut cached).expect("netlist");
-    let chain_inertial =
-        netlists::ripple_chain(GateKind::Nor, 8, &mut ChannelPerGate(inertial)).expect("netlist");
-    let c17_cached = netlists::c17(&mut cached).expect("netlist");
-    let c17_inertial = netlists::c17(&mut ChannelPerGate(inertial)).expect("netlist");
-    let tree = netlists::fanout_tree(4, &mut inertial).expect("netlist");
+    let chain_cached = netlists::ripple_chain(GateKind::Nor, 8, &cached).expect("netlist");
+    let chain_inertial = netlists::ripple_chain(GateKind::Nor, 8, &inertial).expect("netlist");
+    let c17_cached = netlists::c17(&cached).expect("netlist");
+    let c17_inertial = netlists::c17(&inertial).expect("netlist");
+    let tree = netlists::fanout_tree(4, &inertial).expect("netlist");
 
     let load_fixture = |name: &str| {
         let text = std::fs::read_to_string(workspace_root().join("data/bench").join(name))
@@ -155,25 +153,11 @@ fn main() {
         BenchNetlist::parse(&text).expect("fixture parses")
     };
     let c432 = load_fixture("c432.bench");
-    let c432_cached = c432
-        .lower(&CellLibrary::hybrid_shared(
-            std::sync::Arc::clone(cached.shared()),
-            Some(inertial_proto()),
-        ))
-        .expect("lowering");
-    let c432_inertial = c432
-        .lower(&CellLibrary::inertial(inertial_proto()))
-        .expect("lowering");
+    let c432_cached = c432.lower(&cached).expect("lowering");
+    let c432_inertial = c432.lower(&inertial).expect("lowering");
     let c880 = load_fixture("c880.bench");
-    let c880_cached = c880
-        .lower(&CellLibrary::hybrid_shared(
-            std::sync::Arc::clone(cached.shared()),
-            Some(inertial_proto()),
-        ))
-        .expect("lowering");
-    let c880_inertial = c880
-        .lower(&CellLibrary::inertial(inertial_proto()))
-        .expect("lowering");
+    let c880_cached = c880.lower(&cached).expect("lowering");
+    let c880_inertial = c880.lower(&inertial).expect("lowering");
 
     let chain_in = pair_inputs(0xc4a1);
     let c17_in: Vec<DigitalTrace> = vec![

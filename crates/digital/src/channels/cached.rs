@@ -2,15 +2,13 @@
 //! channel that schedules output transitions from `mis-charlib` lookup
 //! tables instead of re-solving the delay equation per event.
 
-use std::sync::Arc;
-
 use mis_charlib::{CharGate, CharLib, SurfaceFamily};
 use mis_core::{Mode, ModeConstants, ModeSystem, ModeTrajectory, NorParams};
 use mis_waveform::{DigitalTrace, EdgeBuf, TraceRef};
 
 use crate::channels::{DelayBounds, TwoInputTransform};
 use crate::probe::ChannelCounters;
-use crate::{gates, SimError};
+use crate::SimError;
 
 /// A cached two-input NOR delay channel driven by characterized delay
 /// surfaces ([`mis_charlib::CharLib`]).
@@ -862,97 +860,15 @@ impl TwoInputTransform for CachedHybridChannel {
     }
 }
 
-/// The cached hybrid model as a two-input **NAND** channel, through the
-/// same analog duality as [`crate::HybridNandChannel`]: input traces are
-/// inverted, pushed through the cached *dual NOR* channel, and the output
-/// is inverted back. Consumes a characterized **NOR** library for the
-/// dual parameter set.
-///
-/// The dual NOR tables are held behind an [`Arc`], so cloning this
-/// channel — one clone per NAND gate instance in a netlist — shares one
-/// resampled table set instead of copying ~20 KiB per gate.
-#[derive(Debug, Clone)]
-pub struct CachedHybridNandChannel {
-    inner: Arc<CachedHybridChannel>,
-}
-
-impl CachedHybridNandChannel {
-    /// Builds the channel from the dual NOR library.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CachedHybridChannel::new`].
-    pub fn from_dual(lib: &CharLib) -> Result<Self, SimError> {
-        Ok(Self::from_nor(CachedHybridChannel::new(lib)?))
-    }
-
-    /// Wraps an already-built dual NOR channel — no re-resampling, just
-    /// the duality adapter (used by netlist factories to share one
-    /// characterization across many gate instances).
-    #[must_use]
-    pub fn from_nor(inner: CachedHybridChannel) -> Self {
-        Self::from_shared(Arc::new(inner))
-    }
-
-    /// Wraps an already-shared dual NOR channel without re-wrapping: the
-    /// NAND adapter and every cached NOR gate built from the same
-    /// [`Arc`] reference one table set.
-    #[must_use]
-    pub fn from_shared(inner: Arc<CachedHybridChannel>) -> Self {
-        CachedHybridNandChannel { inner }
-    }
-
-    /// The shared dual NOR tables.
-    #[must_use]
-    pub fn shared(&self) -> &Arc<CachedHybridChannel> {
-        &self.inner
-    }
-}
-
-impl TwoInputTransform for CachedHybridNandChannel {
-    fn apply2(&self, a: &DigitalTrace, b: &DigitalTrace) -> Result<DigitalTrace, SimError> {
-        let a_inv = gates::not(a)?;
-        let b_inv = gates::not(b)?;
-        let nor_out = self.inner.apply2(&a_inv, &b_inv)?;
-        gates::not(&nor_out)
-    }
-
-    fn apply2_into(
-        &self,
-        a: TraceRef<'_>,
-        b: TraceRef<'_>,
-        out: &mut EdgeBuf,
-        stats: &ChannelCounters,
-    ) -> Result<(), SimError> {
-        // In the SoA representation NOT is free (flip the initial value,
-        // keep the times), so the duality costs nothing: run the dual NOR
-        // scheduler on inverted views and invert the result in place.
-        // The adapter is stats-transparent: the dual NOR scheduler's
-        // events are the NAND channel's events.
-        self.inner
-            .apply2_into(a.inverted(), b.inverted(), out, stats)?;
-        out.invert();
-        Ok(())
-    }
-
-    fn name(&self) -> &str {
-        "hybrid-nand-cached"
-    }
-
-    /// Identical to the dual NOR's bounds: the duality inverts *values*
-    /// (free in the SoA view), never edge times.
-    fn delay_bounds(&self) -> Option<DelayBounds> {
-        self.inner.delay_bounds()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::channels::hybrid::HybridNorChannel;
+    use crate::NandDual;
     use mis_charlib::CharConfig;
     use mis_core::{delay, NorParams, RisingInitialVn};
     use mis_waveform::units::ps;
+    use std::sync::Arc;
 
     fn lib() -> CharLib {
         CharLib::nor(&NorParams::paper_table1(), &CharConfig::default()).expect("characterization")
@@ -1085,10 +1001,18 @@ mod tests {
     fn tracks_exact_channel_on_busy_traffic() {
         // Dense alternating activity: edge-for-edge agreement with the
         // exact hybrid channel, every timing within a loose multiple of
-        // the budget (V_N estimation is approximate, not exact).
+        // the budget (V_N estimation is approximate, not exact). The NAND
+        // pair runs the same traffic through the duality, so its dual NOR
+        // schedulers start from the (1,1) input state.
         let p = NorParams::paper_table1();
-        let ch = channel();
+        let cached = Arc::new(channel());
         let exact = HybridNorChannel::new(&p).unwrap();
+        let cached_nand = NandDual::new(Arc::clone(&cached));
+        let exact_nand = NandDual::new(exact.clone());
+        let pairs: [(&str, &dyn TwoInputTransform, &dyn TwoInputTransform); 2] = [
+            ("nor", &cached, &exact),
+            ("nand", &cached_nand, &exact_nand),
+        ];
         let mut a_edges = Vec::new();
         let mut b_edges = Vec::new();
         let (mut va, mut vb) = (false, false);
@@ -1104,33 +1028,37 @@ mod tests {
         }
         let a = DigitalTrace::with_edges(false, a_edges).unwrap();
         let b = DigitalTrace::with_edges(false, b_edges).unwrap();
-        let got = ch.apply2(&a, &b).unwrap();
-        let want = exact.apply2(&a, &b).unwrap();
-        assert_eq!(
-            got.transition_count(),
-            want.transition_count(),
-            "cached {:?} vs exact {:?}",
-            got.edges()
-                .iter()
-                .map(|e| e.time / 1e-12)
-                .collect::<Vec<_>>(),
-            want.edges()
-                .iter()
-                .map(|e| e.time / 1e-12)
-                .collect::<Vec<_>>()
-        );
-        for (ge, we) in got.edges().iter().zip(want.edges()) {
-            assert_eq!(ge.rising, we.rising);
-            // Rising edges agree to interpolation precision; falling edges
-            // additionally carry the first-order partial-swing correction
-            // (without it they would drift ≈ 2 ps at this 137 ps input
-            // period; the corrected residual is second-order).
-            assert!(
-                (ge.time - we.time).abs() < ps(0.5),
-                "edge {:e} vs {:e}",
-                ge.time,
-                we.time
+        for (gate, ch, exact) in pairs {
+            let got = ch.apply2(&a, &b).unwrap();
+            let want = exact.apply2(&a, &b).unwrap();
+            assert_eq!(got.initial_value(), want.initial_value(), "{gate}");
+            assert_eq!(
+                got.transition_count(),
+                want.transition_count(),
+                "{gate}: cached {:?} vs exact {:?}",
+                got.edges()
+                    .iter()
+                    .map(|e| e.time / 1e-12)
+                    .collect::<Vec<_>>(),
+                want.edges()
+                    .iter()
+                    .map(|e| e.time / 1e-12)
+                    .collect::<Vec<_>>()
             );
+            for (ge, we) in got.edges().iter().zip(want.edges()) {
+                assert_eq!(ge.rising, we.rising, "{gate}");
+                // Rising edges agree to interpolation precision; falling
+                // edges additionally carry the first-order partial-swing
+                // correction (without it they would drift ≈ 2 ps at this
+                // 137 ps input period; the corrected residual is
+                // second-order).
+                assert!(
+                    (ge.time - we.time).abs() < ps(0.5),
+                    "{gate}: edge {:e} vs {:e}",
+                    ge.time,
+                    we.time
+                );
+            }
         }
     }
 
@@ -1175,13 +1103,13 @@ mod tests {
                 assert!(hit, "edge {:e} escapes [{:e}, {:e}]", e.time, b.lo, b.hi);
             }
         }
-        let nand = CachedHybridNandChannel::from_dual(&lib()).unwrap();
+        let nand = NandDual::new(ch);
         assert_eq!(nand.delay_bounds(), Some(b), "duality keeps edge times");
     }
 
     #[test]
     fn nand_wrapper_matches_duality() {
-        let ch = CachedHybridNandChannel::from_dual(&lib()).unwrap();
+        let ch = NandDual::new(channel());
         let a = DigitalTrace::with_edges(false, vec![(ps(300.0), true)]).unwrap();
         let b = DigitalTrace::with_edges(false, vec![(ps(310.0), true)]).unwrap();
         let out = ch.apply2(&a, &b).unwrap();

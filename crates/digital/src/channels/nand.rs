@@ -1,26 +1,31 @@
-use mis_core::nand::NandParams;
-use mis_core::NorParams;
-use mis_waveform::DigitalTrace;
+use mis_waveform::{DigitalTrace, EdgeBuf, TraceRef};
 
-use crate::channels::TwoInputTransform;
-use crate::{gates, HybridNorChannel, SimError};
+use crate::channels::{DelayBounds, TwoInputTransform};
+use crate::probe::ChannelCounters;
+use crate::{gates, SimError};
 
-/// The hybrid model as a two-input **NAND** channel, realized through the
-/// exact duality `NAND(a, b) = ¬NOR(¬a, ¬b)` at the *analog* level: input
-/// traces are inverted, pushed through the dual NOR's continuous-state
-/// model, and the output trace is inverted back. Because the duality maps
+/// A two-input **NAND** channel built from any two-input NOR channel `C`
+/// through the exact duality `NAND(a, b) = ¬NOR(¬a, ¬b)` at the *analog*
+/// level: input traces are inverted, pushed through the dual NOR's model,
+/// and the output trace is inverted back. Because the duality maps
 /// voltages by `v ↦ V_DD − v`, the timing (threshold crossings at
 /// `V_DD/2`) is preserved exactly.
+///
+/// `NandDual<HybridNorChannel>` is the exact hybrid NAND (built from
+/// [`mis_core::nand::NandParams::dual`]); `NandDual<Arc<CachedHybridChannel>>`
+/// is the cached NAND cell, sharing one table set with the NOR cells.
 ///
 /// # Examples
 ///
 /// ```
-/// use mis_digital::{HybridNandChannel, TwoInputTransform};
+/// use mis_core::nand::NandParams;
 /// use mis_core::NorParams;
+/// use mis_digital::{HybridNorChannel, NandDual, TwoInputTransform};
 /// use mis_waveform::{DigitalTrace, units::ps};
 ///
 /// # fn main() -> Result<(), mis_digital::SimError> {
-/// let ch = HybridNandChannel::from_dual(&NorParams::paper_table1())?;
+/// let params = NandParams::from_dual(NorParams::paper_table1());
+/// let ch = NandDual::new(HybridNorChannel::new(params.dual())?);
 /// let a = DigitalTrace::with_edges(false, vec![(ps(200.0), true)])?;
 /// let b = DigitalTrace::with_edges(false, vec![(ps(210.0), true)])?;
 /// let out = ch.apply2(&a, &b)?;
@@ -30,55 +35,63 @@ use crate::{gates, HybridNorChannel, SimError};
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct HybridNandChannel {
-    inner: HybridNorChannel,
+pub struct NandDual<C> {
+    inner: C,
 }
 
-impl HybridNandChannel {
-    /// Creates the channel from the dual NOR parameter set (see
-    /// [`NandParams`] for the reinterpretation of the fields).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Model`] for invalid parameters.
-    pub fn from_dual(dual: &NorParams) -> Result<Self, SimError> {
-        Ok(HybridNandChannel {
-            inner: HybridNorChannel::new(dual)?,
-        })
-    }
-
-    /// Creates the channel from a [`NandParams`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Model`] for invalid parameters.
-    pub fn new(params: &NandParams) -> Result<Self, SimError> {
-        Self::from_dual(params.dual())
+impl<C: TwoInputTransform> NandDual<C> {
+    /// Wraps the dual NOR channel.
+    #[must_use]
+    pub fn new(inner: C) -> Self {
+        NandDual { inner }
     }
 }
 
-impl TwoInputTransform for HybridNandChannel {
+impl<C: TwoInputTransform> TwoInputTransform for NandDual<C> {
     fn apply2(&self, a: &DigitalTrace, b: &DigitalTrace) -> Result<DigitalTrace, SimError> {
-        let a_inv = gates::not(a)?;
-        let b_inv = gates::not(b)?;
-        let nor_out = self.inner.apply2(&a_inv, &b_inv)?;
+        let nor_out = self.inner.apply2(&gates::not(a)?, &gates::not(b)?)?;
         gates::not(&nor_out)
     }
 
+    fn apply2_into(
+        &self,
+        a: TraceRef<'_>,
+        b: TraceRef<'_>,
+        out: &mut EdgeBuf,
+        stats: &ChannelCounters,
+    ) -> Result<(), SimError> {
+        // In the SoA representation NOT is free (flip the initial value,
+        // keep the times), so the duality costs nothing: run the dual NOR
+        // on inverted views and invert the result in place. The adapter
+        // is stats-transparent: the dual NOR's events are the NAND's.
+        self.inner
+            .apply2_into(a.inverted(), b.inverted(), out, stats)?;
+        out.invert();
+        Ok(())
+    }
+
     fn name(&self) -> &str {
-        "hybrid-nand"
+        "nand-dual"
+    }
+
+    /// Identical to the dual NOR's bounds: the duality inverts *values*,
+    /// never edge times.
+    fn delay_bounds(&self) -> Option<DelayBounds> {
+        self.inner.delay_bounds()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HybridNorChannel;
     use mis_core::nand::NandParams;
-    use mis_core::RisingInitialVn;
+    use mis_core::{NorParams, RisingInitialVn};
     use mis_waveform::units::ps;
 
-    fn channel() -> HybridNandChannel {
-        HybridNandChannel::from_dual(&NorParams::paper_table1()).unwrap()
+    fn channel() -> NandDual<HybridNorChannel> {
+        let params = NandParams::from_dual(NorParams::paper_table1());
+        NandDual::new(HybridNorChannel::new(params.dual()).unwrap())
     }
 
     #[test]

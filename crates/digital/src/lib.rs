@@ -23,6 +23,9 @@
 //!   model: schedules transitions from `mis-charlib` delay surfaces
 //!   (one table lookup per event) instead of re-solving the delay
 //!   equation, at near-inertial cost.
+//! * [`NandDual`] — the NAND face of any two-input NOR channel, through
+//!   the exact analog duality `NAND(a, b) = ¬NOR(¬a, ¬b)` (free on SoA
+//!   views: inverted inputs in, inverted output out).
 //!
 //! [`Network`] composes zero-time Boolean gates with channels into
 //! feed-forward circuits; [`accuracy`] implements the paper's Fig. 7
@@ -40,8 +43,11 @@
 //! [`SignalSource::eval_in`] (a fused ideal-gate + channel pass through
 //! the arena's staging buffers), and a warm arena makes repeated
 //! evaluations allocation-free. [`Network::run`] remains as the
-//! allocating compatibility wrapper; [`netlists`] builds the benchmark
-//! circuits (ripple chains, the ISCAS-85 C17 cut, fan-out trees).
+//! allocating compatibility wrapper. [`netlists`] holds
+//! [`netlists::CellLibrary`], the one place a gate type gets its timing
+//! (shared cached-hybrid NOR/NAND cells, an inertial fallback), and the
+//! benchmark circuits built from it (ripple chains, the ISCAS-85 C17
+//! cut, fan-out trees).
 //!
 //! # Examples
 //!
@@ -80,11 +86,11 @@ pub mod netlists;
 mod network;
 pub mod probe;
 
-pub use channels::cached::{CachedHybridChannel, CachedHybridNandChannel};
+pub use channels::cached::CachedHybridChannel;
 pub use channels::exp::ExpChannel;
 pub use channels::hybrid::HybridNorChannel;
 pub use channels::inertial::InertialChannel;
-pub use channels::nand::HybridNandChannel;
+pub use channels::nand::NandDual;
 pub use channels::pure::PureDelayChannel;
 pub use channels::sumexp::SumExpChannel;
 pub use channels::{DelayBounds, TraceTransform, TwoInputTransform};

@@ -1,8 +1,20 @@
-//! Benchmark netlist builders: small standard circuits for exercising
-//! [`Network`] at circuit scale — the workload of the interconnected-gates
-//! follow-up paper and of standard-cell characterization flows.
+//! Cell libraries and benchmark netlist builders.
 //!
-//! Three topologies with distinct event-flow shapes:
+//! [`CellLibrary`] is the one place a gate type gets its timing: the
+//! standard-cell view of the delay models. The characterized
+//! cached-hybrid table set (~20 KiB of resampled delay surfaces) is held
+//! behind one [`Arc`] and every NOR/NAND instance references it (NAND
+//! through the free view-inversion duality, [`NandDual`]); every other
+//! gate kind is a zero-time gate followed by an optional inertial
+//! fallback channel. At C432 scale the sharing is the difference between
+//! the tables living in cache and each gate dragging its own copy
+//! through memory. `mis-sim` lowers `.bench` circuits through the same
+//! library (`mis_sim::CellLibrary` re-exports it).
+//!
+//! Three builders time small standard circuits under a library — the
+//! workload of the interconnected-gates follow-up paper and of
+//! standard-cell characterization flows — with distinct event-flow
+//! shapes:
 //!
 //! * [`ripple_chain`] — a depth-`n` chain of two-input gates where each
 //!   stage reconverges with a shared side input: serial event propagation,
@@ -12,19 +24,139 @@
 //! * [`fanout_tree`] — a complete inverter tree: one input driving
 //!   `2^depth − 1` gates, the pure fan-out extreme.
 //!
-//! Each builder is parameterized over a [`GateFactory`], which decides
-//! how every two-input gate realizes its function and timing: a zero-time
-//! gate followed by a single-input channel ([`ChannelPerGate`]), or a
-//! two-input channel gate carrying the MIS-aware hybrid fast path
-//! ([`CachedHybridFactory`]). The same topology can therefore be timed
-//! under every delay model the workspace implements.
+//! A library built from a committed `mis-charlib` text file skips
+//! re-characterization entirely:
+//!
+//! ```no_run
+//! use mis_charlib::CharLib;
+//! use mis_digital::netlists::CellLibrary;
+//!
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! let text = std::fs::read_to_string("data/charlib/nor_paper.mislib")?;
+//! let lib = CharLib::from_text(&text)?;
+//! let cells = CellLibrary::hybrid(&lib, None)?;
+//! # Ok(())
+//! # }
+//! ```
 
 use std::sync::Arc;
 
 use mis_charlib::CharLib;
 
-use crate::channels::{TraceTransform, TwoInputTransform};
-use crate::{CachedHybridChannel, CachedHybridNandChannel, GateKind, Network, SignalId, SimError};
+use crate::channels::TraceTransform;
+use crate::{
+    CachedHybridChannel, GateKind, InertialChannel, NandDual, Network, SignalId, SimError,
+};
+
+/// A gate-type → timing-realization mapping shared by every gate
+/// instance of a netlist.
+///
+/// Three realizations exist:
+///
+/// * **ideal** — zero-time gates, no channels (logic checks);
+/// * **fallback channel** — a zero-time gate followed by a clone of one
+///   prototype [`InertialChannel`] (the channel struct is a few floats;
+///   cloning per instance is free compared to table-backed cells);
+/// * **cached hybrid** — NOR and NAND realized as two-input channel
+///   gates referencing one [`Arc`]-shared [`CachedHybridChannel`] table
+///   set (NAND as [`NandDual`] over the same tables).
+#[derive(Debug, Clone)]
+pub struct CellLibrary {
+    nor: Option<Arc<CachedHybridChannel>>,
+    fallback: Option<InertialChannel>,
+}
+
+impl CellLibrary {
+    /// Zero-time gates throughout: pure logic, no delays.
+    #[must_use]
+    pub fn ideal() -> Self {
+        CellLibrary {
+            nor: None,
+            fallback: None,
+        }
+    }
+
+    /// Every gate becomes a zero-time gate followed by a clone of
+    /// `channel`.
+    #[must_use]
+    pub fn inertial(channel: InertialChannel) -> Self {
+        CellLibrary {
+            nor: None,
+            fallback: Some(channel),
+        }
+    }
+
+    /// NOR/NAND gates share one cached-hybrid table set characterized
+    /// from `lib` (a **NOR** library); every other gate kind falls back
+    /// to `fallback` (zero-time when `None`).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CachedHybridChannel::new`] failures (non-NOR
+    /// library, invalid parameters).
+    pub fn hybrid(lib: &CharLib, fallback: Option<InertialChannel>) -> Result<Self, SimError> {
+        Ok(CellLibrary {
+            nor: Some(Arc::new(CachedHybridChannel::new(lib)?)),
+            fallback,
+        })
+    }
+
+    /// The shared cached-hybrid table set, when this library carries one
+    /// (lets tests assert instances share rather than copy).
+    #[must_use]
+    pub fn shared_tables(&self) -> Option<&Arc<CachedHybridChannel>> {
+        self.nor.as_ref()
+    }
+
+    /// One fresh fallback channel, boxed for a gate output.
+    fn channel(&self) -> Option<Box<dyn TraceTransform>> {
+        self.fallback
+            .clone()
+            .map(|c| Box::new(c) as Box<dyn TraceTransform>)
+    }
+
+    /// Adds one two-input `kind` gate realized by this library.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`Network`] validation failures.
+    pub fn add(
+        &self,
+        net: &mut Network,
+        name: &str,
+        kind: GateKind,
+        a: SignalId,
+        b: SignalId,
+    ) -> Result<SignalId, SimError> {
+        match (&self.nor, kind) {
+            (Some(nor), GateKind::Nor) => {
+                net.add_two_input_channel_gate(name, [a, b], Box::new(Arc::clone(nor)))
+            }
+            (Some(nor), GateKind::Nand) => net.add_two_input_channel_gate(
+                name,
+                [a, b],
+                Box::new(NandDual::new(Arc::clone(nor))),
+            ),
+            _ => net.add_gate(name, kind, &[a, b], self.channel()),
+        }
+    }
+
+    /// Adds one unary `kind` gate (`Not`/`Buf`) realized by this
+    /// library (zero-time gate plus the fallback channel, if any).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`Network`] validation failures.
+    pub fn add_unary(
+        &self,
+        net: &mut Network,
+        name: &str,
+        kind: GateKind,
+        input: SignalId,
+    ) -> Result<SignalId, SimError> {
+        net.add_gate(name, kind, &[input], self.channel())
+    }
+}
 
 /// A built benchmark circuit: the network plus its primary input and
 /// output signal handles.
@@ -38,104 +170,6 @@ pub struct BuiltNetlist {
     pub outputs: Vec<SignalId>,
 }
 
-/// Supplies the realization of each two-input gate in a built netlist.
-pub trait GateFactory {
-    /// Adds one `kind` gate over `(a, b)` to `net` and returns its output
-    /// signal.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Network`] validation failures; implementations may
-    /// also reject unsupported gate kinds.
-    fn add(
-        &mut self,
-        net: &mut Network,
-        name: &str,
-        kind: GateKind,
-        a: SignalId,
-        b: SignalId,
-    ) -> Result<SignalId, SimError>;
-}
-
-/// Realizes every gate as a zero-time Boolean gate followed by a fresh
-/// single-input channel from the wrapped closure (`None` for ideal
-/// zero-delay gates).
-pub struct ChannelPerGate<F: FnMut() -> Option<Box<dyn TraceTransform>>>(pub F);
-
-impl<F: FnMut() -> Option<Box<dyn TraceTransform>>> GateFactory for ChannelPerGate<F> {
-    fn add(
-        &mut self,
-        net: &mut Network,
-        name: &str,
-        kind: GateKind,
-        a: SignalId,
-        b: SignalId,
-    ) -> Result<SignalId, SimError> {
-        net.add_gate(name, kind, &[a, b], (self.0)())
-    }
-}
-
-/// Realizes NOR and NAND gates as cached hybrid two-input channel gates
-/// built from one characterized NOR library (NAND through the analog
-/// duality). The library is resampled **once** at factory construction
-/// and held behind an [`Arc`]: every gate instance added by the factory
-/// references the same ~20 KiB table set (a refcount bump per gate, not
-/// a flat copy — at C432 scale the sharing is what keeps the resampled
-/// surfaces cache-resident). Other gate kinds are rejected — the hybrid
-/// model exists for the coupled pull-up/pull-down gates only.
-#[derive(Debug, Clone)]
-pub struct CachedHybridFactory {
-    nor: Arc<CachedHybridChannel>,
-    nand: CachedHybridNandChannel,
-}
-
-impl CachedHybridFactory {
-    /// Creates the factory from a characterized **NOR** library.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Network`] for a non-NOR library.
-    pub fn new(lib: &CharLib) -> Result<Self, SimError> {
-        Ok(Self::from_shared(Arc::new(CachedHybridChannel::new(lib)?)))
-    }
-
-    /// Creates the factory around an already-shared table set (the same
-    /// `Arc` a `mis-sim` cell library hands out), adding no copies.
-    #[must_use]
-    pub fn from_shared(nor: Arc<CachedHybridChannel>) -> Self {
-        let nand = CachedHybridNandChannel::from_shared(Arc::clone(&nor));
-        CachedHybridFactory { nor, nand }
-    }
-
-    /// The shared NOR table set driving every gate this factory adds.
-    #[must_use]
-    pub fn shared(&self) -> &Arc<CachedHybridChannel> {
-        &self.nor
-    }
-}
-
-impl GateFactory for CachedHybridFactory {
-    fn add(
-        &mut self,
-        net: &mut Network,
-        name: &str,
-        kind: GateKind,
-        a: SignalId,
-        b: SignalId,
-    ) -> Result<SignalId, SimError> {
-        let channel: Box<dyn TwoInputTransform> = match kind {
-            GateKind::Nor => Box::new(Arc::clone(&self.nor)),
-            GateKind::Nand => Box::new(self.nand.clone()),
-            other => {
-                return Err(SimError::Network {
-                    reason: format!("no cached hybrid model for {other:?} gates"),
-                })
-            }
-        };
-        net.add_two_input_channel_gate(name, [a, b], channel)
-    }
-}
-
 /// A chain of `stages` two-input `kind` gates: stage 0 combines the two
 /// primary inputs, every later stage combines the previous stage's output
 /// with primary input `b` (a reconvergent side input, so every stage sees
@@ -143,12 +177,12 @@ impl GateFactory for CachedHybridFactory {
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Network`] for zero stages, a unary `kind`, or
-/// factory failures.
+/// Returns [`SimError::Network`] for zero stages or a unary `kind`;
+/// propagates network validation failures.
 pub fn ripple_chain(
     kind: GateKind,
     stages: usize,
-    factory: &mut dyn GateFactory,
+    cells: &CellLibrary,
 ) -> Result<BuiltNetlist, SimError> {
     if stages == 0 || kind.arity() != 2 {
         return Err(SimError::Network {
@@ -160,9 +194,9 @@ pub fn ripple_chain(
     let mut net = Network::new();
     let a = net.add_input("a")?;
     let b = net.add_input("b")?;
-    let mut prev = factory.add(&mut net, "s0", kind, a, b)?;
+    let mut prev = cells.add(&mut net, "s0", kind, a, b)?;
     for s in 1..stages {
-        prev = factory.add(&mut net, &format!("s{s}"), kind, prev, b)?;
+        prev = cells.add(&mut net, &format!("s{s}"), kind, prev, b)?;
     }
     Ok(BuiltNetlist {
         net,
@@ -181,20 +215,20 @@ pub fn ripple_chain(
 ///
 /// # Errors
 ///
-/// Propagates factory failures.
-pub fn c17(factory: &mut dyn GateFactory) -> Result<BuiltNetlist, SimError> {
+/// Propagates network validation failures.
+pub fn c17(cells: &CellLibrary) -> Result<BuiltNetlist, SimError> {
     let mut net = Network::new();
     let in1 = net.add_input("in1")?;
     let in2 = net.add_input("in2")?;
     let in3 = net.add_input("in3")?;
     let in6 = net.add_input("in6")?;
     let in7 = net.add_input("in7")?;
-    let g10 = factory.add(&mut net, "g10", GateKind::Nand, in1, in3)?;
-    let g11 = factory.add(&mut net, "g11", GateKind::Nand, in3, in6)?;
-    let g16 = factory.add(&mut net, "g16", GateKind::Nand, in2, g11)?;
-    let g19 = factory.add(&mut net, "g19", GateKind::Nand, g11, in7)?;
-    let g22 = factory.add(&mut net, "g22", GateKind::Nand, g10, g16)?;
-    let g23 = factory.add(&mut net, "g23", GateKind::Nand, g16, g19)?;
+    let g10 = cells.add(&mut net, "g10", GateKind::Nand, in1, in3)?;
+    let g11 = cells.add(&mut net, "g11", GateKind::Nand, in3, in6)?;
+    let g16 = cells.add(&mut net, "g16", GateKind::Nand, in2, g11)?;
+    let g19 = cells.add(&mut net, "g19", GateKind::Nand, g11, in7)?;
+    let g22 = cells.add(&mut net, "g22", GateKind::Nand, g10, g16)?;
+    let g23 = cells.add(&mut net, "g23", GateKind::Nand, g16, g19)?;
     Ok(BuiltNetlist {
         net,
         inputs: vec![in1, in2, in3, in6, in7],
@@ -204,17 +238,14 @@ pub fn c17(factory: &mut dyn GateFactory) -> Result<BuiltNetlist, SimError> {
 
 /// A complete binary inverter tree of the given depth: one primary input
 /// drives `2^depth − 1` NOT gates; the `2^(depth−1)` leaves are the
-/// outputs. Every gate gets a fresh channel from `channel` (`None` for
-/// zero-delay inverters).
+/// outputs. Every gate is realized by `cells` (zero-time inverters under
+/// [`CellLibrary::ideal`]).
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Network`] for zero depth; propagates network
 /// validation failures.
-pub fn fanout_tree(
-    depth: usize,
-    channel: &mut dyn FnMut() -> Option<Box<dyn TraceTransform>>,
-) -> Result<BuiltNetlist, SimError> {
+pub fn fanout_tree(depth: usize, cells: &CellLibrary) -> Result<BuiltNetlist, SimError> {
     if depth == 0 {
         return Err(SimError::Network {
             reason: "fanout_tree needs depth ≥ 1".into(),
@@ -227,11 +258,11 @@ pub fn fanout_tree(
         let mut next = Vec::with_capacity(level.len() * 2);
         for (i, &src) in level.iter().enumerate() {
             for half in 0..2 {
-                let id = net.add_gate(
+                let id = cells.add_unary(
+                    &mut net,
                     &format!("n{d}_{}", 2 * i + half),
                     GateKind::Not,
-                    &[src],
-                    channel(),
+                    src,
                 )?;
                 next.push(id);
             }
@@ -248,15 +279,10 @@ pub fn fanout_tree(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::InertialChannel;
     use mis_charlib::CharConfig;
     use mis_core::NorParams;
     use mis_waveform::units::ps;
     use mis_waveform::{DigitalTrace, TraceArena};
-
-    fn zero_time() -> ChannelPerGate<impl FnMut() -> Option<Box<dyn TraceTransform>>> {
-        ChannelPerGate(|| None)
-    }
 
     fn quick_lib() -> CharLib {
         CharLib::nor(&NorParams::paper_table1(), &CharConfig::quick()).expect("characterization")
@@ -264,7 +290,7 @@ mod tests {
 
     #[test]
     fn c17_truth_table_on_constant_inputs() {
-        let built = c17(&mut zero_time()).unwrap();
+        let built = c17(&CellLibrary::ideal()).unwrap();
         // Exhaustive over all 32 input combinations: constant traces
         // propagate as initial values through zero-time NANDs.
         for bits in 0..32u32 {
@@ -291,20 +317,18 @@ mod tests {
 
     #[test]
     fn ripple_chain_depth_and_validation() {
-        let built = ripple_chain(GateKind::Nor, 8, &mut zero_time()).unwrap();
+        let built = ripple_chain(GateKind::Nor, 8, &CellLibrary::ideal()).unwrap();
         assert_eq!(built.net.input_count(), 2);
         assert_eq!(built.outputs.len(), 1);
         assert_eq!(built.outputs[0].index(), 9, "2 inputs + 8 stages");
-        assert!(ripple_chain(GateKind::Nor, 0, &mut zero_time()).is_err());
-        assert!(ripple_chain(GateKind::Not, 3, &mut zero_time()).is_err());
+        assert!(ripple_chain(GateKind::Nor, 0, &CellLibrary::ideal()).is_err());
+        assert!(ripple_chain(GateKind::Not, 3, &CellLibrary::ideal()).is_err());
     }
 
     #[test]
     fn fanout_tree_shape() {
-        let built = fanout_tree(3, &mut || {
-            Some(Box::new(InertialChannel::symmetric(ps(10.0), ps(10.0)).unwrap()) as Box<_>)
-        })
-        .unwrap();
+        let cells = CellLibrary::inertial(InertialChannel::symmetric(ps(10.0), ps(10.0)).unwrap());
+        let built = fanout_tree(3, &cells).unwrap();
         assert_eq!(built.outputs.len(), 8);
         // 1 input + 2 + 4 + 8 gates.
         let input = DigitalTrace::with_edges(false, vec![(ps(100.0), true)]).unwrap();
@@ -319,14 +343,13 @@ mod tests {
             assert_eq!(v.len(), 1);
             assert!((v.times()[0] - ps(130.0)).abs() < 1e-18);
         }
-        assert!(fanout_tree(0, &mut || None).is_err());
+        assert!(fanout_tree(0, &CellLibrary::ideal()).is_err());
     }
 
     #[test]
-    fn cached_factory_builds_hybrid_gates_and_rejects_others() {
-        let lib = quick_lib();
-        let mut f = CachedHybridFactory::new(&lib).unwrap();
-        let chain = ripple_chain(GateKind::Nand, 3, &mut f).unwrap();
+    fn hybrid_cells_time_a_nand_chain() {
+        let cells = CellLibrary::hybrid(&quick_lib(), None).unwrap();
+        let chain = ripple_chain(GateKind::Nand, 3, &cells).unwrap();
         let a = DigitalTrace::with_edges(true, vec![(ps(300.0), false)]).unwrap();
         let b = DigitalTrace::constant(true);
         let traces = chain.net.run(&[a, b]).unwrap();
@@ -334,6 +357,57 @@ mod tests {
         let out = &traces[chain.outputs[0].index()];
         assert!(!out.initial_value(), "NAND(1,1) = 0 settled");
         assert_eq!(out.transition_count(), 1);
-        assert!(ripple_chain(GateKind::Xor, 2, &mut f).is_err());
+    }
+
+    #[test]
+    fn hybrid_cells_share_one_table_set() {
+        let cells = CellLibrary::hybrid(&quick_lib(), None).unwrap();
+        let tables = Arc::clone(cells.shared_tables().unwrap());
+        let before = Arc::strong_count(&tables);
+        let mut net = Network::new();
+        let a = net.add_input("a").unwrap();
+        let b = net.add_input("b").unwrap();
+        for i in 0..16 {
+            cells
+                .add(&mut net, &format!("g{i}"), GateKind::Nor, a, b)
+                .unwrap();
+            cells
+                .add(&mut net, &format!("h{i}"), GateKind::Nand, a, b)
+                .unwrap();
+        }
+        // Every added gate bumped the refcount instead of copying tables.
+        assert_eq!(Arc::strong_count(&tables), before + 32);
+    }
+
+    #[test]
+    fn hybrid_falls_back_for_non_hybrid_kinds() {
+        let cells = CellLibrary::hybrid(
+            &quick_lib(),
+            Some(InertialChannel::symmetric(ps(10.0), ps(10.0)).unwrap()),
+        )
+        .unwrap();
+        let mut net = Network::new();
+        let a = net.add_input("a").unwrap();
+        let b = net.add_input("b").unwrap();
+        let x = cells.add(&mut net, "x", GateKind::Xor, a, b).unwrap();
+        let n = cells.add_unary(&mut net, "n", GateKind::Not, x).unwrap();
+        let ta = DigitalTrace::with_edges(false, vec![(ps(100.0), true)]).unwrap();
+        let tb = DigitalTrace::constant(false);
+        let traces = net.run(&[ta, tb]).unwrap();
+        // XOR rises 10 ps after a, the NOT falls 10 ps after that.
+        assert!((traces[x.index()].edges()[0].time - ps(110.0)).abs() < 1e-18);
+        assert!((traces[n.index()].edges()[0].time - ps(120.0)).abs() < 1e-18);
+    }
+
+    #[test]
+    fn ideal_library_is_zero_time() {
+        let cells = CellLibrary::ideal();
+        let mut net = Network::new();
+        let a = net.add_input("a").unwrap();
+        let b = net.add_input("b").unwrap();
+        let y = cells.add(&mut net, "y", GateKind::Nor, a, b).unwrap();
+        let ta = DigitalTrace::with_edges(false, vec![(ps(50.0), true)]).unwrap();
+        let traces = net.run(&[ta, DigitalTrace::constant(false)]).unwrap();
+        assert_eq!(traces[y.index()].edges()[0].time, ps(50.0));
     }
 }

@@ -12,7 +12,7 @@
 
 use mis_charlib::{CharConfig, CharLib};
 use mis_core::NorParams;
-use mis_digital::netlists::{self, CachedHybridFactory};
+use mis_digital::netlists::{self, CellLibrary};
 use mis_digital::{
     CachedHybridChannel, ExpChannel, GateKind, InertialChannel, Network, PureDelayChannel,
     TraceTransform,
@@ -108,12 +108,13 @@ fn warm_run_in_is_allocation_free() {
 #[test]
 fn warm_netlist_benchmarks_are_allocation_free() {
     let lib = quick_lib();
-    let mut factory = CachedHybridFactory::new(&lib).unwrap();
-    let chain = netlists::ripple_chain(GateKind::Nor, 8, &mut factory).unwrap();
-    let c17 = netlists::c17(&mut factory).unwrap();
-    let tree = netlists::fanout_tree(4, &mut || {
-        Some(Box::new(InertialChannel::symmetric(ps(30.0), ps(30.0)).unwrap()) as Box<_>)
-    })
+    let cells = CellLibrary::hybrid(&lib, None).unwrap();
+    let chain = netlists::ripple_chain(GateKind::Nor, 8, &cells).unwrap();
+    let c17 = netlists::c17(&cells).unwrap();
+    let tree = netlists::fanout_tree(
+        4,
+        &CellLibrary::inertial(InertialChannel::symmetric(ps(30.0), ps(30.0)).unwrap()),
+    )
     .unwrap();
 
     let chain_in = traffic(0xC41);

@@ -10,8 +10,8 @@ use std::sync::OnceLock;
 use mis_charlib::{CharConfig, CharLib};
 use mis_core::NorParams;
 use mis_digital::{
-    gates, involution, CachedHybridChannel, CachedHybridNandChannel, ChannelCounters, ExpChannel,
-    GateKind, HybridNorChannel, InertialChannel, Network, PureDelayChannel, SumExpChannel,
+    gates, involution, CachedHybridChannel, ChannelCounters, ExpChannel, GateKind,
+    HybridNorChannel, InertialChannel, NandDual, Network, PureDelayChannel, SumExpChannel,
     TraceTransform, TwoInputTransform,
 };
 use mis_testkit::prelude::*;
@@ -278,7 +278,9 @@ fn build_network(n_inputs: usize, spec: &[SpecGate]) -> Network {
                 .unwrap(),
             SpecGate::Cached { nand, a, b } => {
                 let channel: Box<dyn TwoInputTransform> = if nand {
-                    Box::new(CachedHybridNandChannel::from_dual(shared_lib()).unwrap())
+                    Box::new(NandDual::new(
+                        CachedHybridChannel::new(shared_lib()).unwrap(),
+                    ))
                 } else {
                     Box::new(CachedHybridChannel::new(shared_lib()).unwrap())
                 };
@@ -331,8 +333,7 @@ fn eval_reference(
             }
             SpecGate::Cached { nand, a, b } => {
                 if nand {
-                    CachedHybridNandChannel::from_dual(shared_lib())
-                        .unwrap()
+                    NandDual::new(CachedHybridChannel::new(shared_lib()).unwrap())
                         .apply2(&traces[a], &traces[b])
                         .unwrap()
                 } else {
@@ -421,7 +422,7 @@ fn apply2_into_bit_identical_to_apply2_for_cached_channels() {
         .unwrap();
         prop_assert_eq!(out.to_trace(), nor.apply2(&a, &b).unwrap(), "cached NOR");
 
-        let nand = CachedHybridNandChannel::from_dual(shared_lib()).unwrap();
+        let nand = NandDual::new(CachedHybridChannel::new(shared_lib()).unwrap());
         nand.apply2_into(
             va.as_ref(),
             vb.as_ref(),

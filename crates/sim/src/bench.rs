@@ -15,7 +15,10 @@
 //! root: an n-ary `NAND` becomes ideal `AND` subtrees feeding one
 //! [`CellLibrary`]-realized `NAND2`, so every `.bench` gate contributes
 //! exactly one channel's worth of delay regardless of width. `XNOR`
-//! lowers as an ideal `XOR` tree with a celled `NOT` root.
+//! lowers as an ideal `XOR` tree with a celled `NOT` root. The cell
+//! library is `mis_digital::netlists::CellLibrary` (re-exported here as
+//! `mis_sim::CellLibrary`): lowering and the built-in benchmark netlists
+//! realize gates through the same cells.
 //!
 //! # Examples
 //!
@@ -44,9 +47,9 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
+use mis_digital::netlists::CellLibrary;
 use mis_digital::{GateKind, Network, SignalId};
 
-use crate::cells::CellLibrary;
 use crate::error::BenchError;
 
 /// A gate function the `.bench` format can name.

@@ -13,10 +13,11 @@
 //!   forward references, balanced zero-time reduction of wide fan-ins,
 //!   one timed cell per `.bench` gate). Committed fixtures for C17 and
 //!   a C432-scale circuit live under `data/bench/`.
-//! * [`cells`] — [`CellLibrary`], the standard-cell view of the delay
-//!   models: one `Arc`-shared cached-hybrid table set per cell type
-//!   (NAND through the free view-inversion duality) plus an inertial
-//!   fallback for the non-hybrid gate kinds.
+//! * [`CellLibrary`] — re-exported from [`mis_digital::netlists`], the
+//!   one place a gate type gets its timing: one `Arc`-shared
+//!   cached-hybrid table set for NOR and NAND (NAND through the free
+//!   view-inversion duality) plus an inertial fallback for the
+//!   non-hybrid gate kinds.
 //! * [`engine`] — [`Simulator`], the netlist evaluator: every gate in
 //!   signal order (already topological, by the `Network` builder's
 //!   reference-before-use rule) through the per-gate kernel
@@ -59,7 +60,6 @@
 
 pub mod bench;
 pub mod budget;
-pub mod cells;
 pub mod engine;
 mod error;
 pub mod overlay;
@@ -67,8 +67,8 @@ pub mod probe;
 
 pub use bench::{BenchFunc, BenchGate, BenchNetlist, LoweredNetlist, LoweredStats};
 pub use budget::RunBudget;
-pub use cells::CellLibrary;
 pub use engine::{Simulator, ENGINE_INDEX_MAX};
 pub use error::BenchError;
+pub use mis_digital::netlists::CellLibrary;
 pub use overlay::TraceOverlay;
 pub use probe::{SimCounters, SimTracer};

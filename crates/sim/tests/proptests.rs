@@ -12,9 +12,9 @@ use std::sync::OnceLock;
 
 use mis_charlib::{CharConfig, CharGate, CharLib};
 use mis_core::NorParams;
-use mis_digital::netlists::{self, CachedHybridFactory, ChannelPerGate};
+use mis_digital::netlists;
 use mis_digital::{
-    CachedHybridChannel, CachedHybridNandChannel, ExpChannel, GateKind, InertialChannel, Network,
+    CachedHybridChannel, ExpChannel, GateKind, InertialChannel, NandDual, Network,
     PureDelayChannel, SumExpChannel, TraceTransform, TwoInputTransform,
 };
 use mis_sim::{BenchError, BenchFunc, BenchGate, BenchNetlist, CellLibrary, Simulator};
@@ -83,21 +83,16 @@ fn assert_engine_matches(net: &Network, inputs: &[DigitalTrace]) {
 fn engine_bit_identical_on_all_netlists_topologies() {
     let lib = shared_lib();
     let mut rng = TestRng::seed_from_u64(0x51B);
-    let inertial = || {
-        Some(
-            Box::new(InertialChannel::symmetric(ps(50.0), ps(38.0)).unwrap())
-                as Box<dyn TraceTransform>,
-        )
-    };
-    let mut cached = CachedHybridFactory::new(lib).unwrap();
+    let inertial = CellLibrary::inertial(InertialChannel::symmetric(ps(50.0), ps(38.0)).unwrap());
+    let cached = CellLibrary::hybrid(lib, None).unwrap();
     let builds = vec![
-        netlists::ripple_chain(GateKind::Nor, 8, &mut ChannelPerGate(inertial)).unwrap(),
-        netlists::ripple_chain(GateKind::Nor, 8, &mut cached).unwrap(),
-        netlists::ripple_chain(GateKind::Nand, 5, &mut cached).unwrap(),
-        netlists::c17(&mut ChannelPerGate(inertial)).unwrap(),
-        netlists::c17(&mut cached).unwrap(),
-        netlists::fanout_tree(4, &mut inertial.clone()).unwrap(),
-        netlists::fanout_tree(3, &mut || None).unwrap(),
+        netlists::ripple_chain(GateKind::Nor, 8, &inertial).unwrap(),
+        netlists::ripple_chain(GateKind::Nor, 8, &cached).unwrap(),
+        netlists::ripple_chain(GateKind::Nand, 5, &cached).unwrap(),
+        netlists::c17(&inertial).unwrap(),
+        netlists::c17(&cached).unwrap(),
+        netlists::fanout_tree(4, &inertial).unwrap(),
+        netlists::fanout_tree(3, &CellLibrary::ideal()).unwrap(),
     ];
     for built in &builds {
         let inputs: Vec<DigitalTrace> = (0..built.net.input_count())
@@ -174,7 +169,9 @@ fn random_network(rng: &mut TestRng) -> Network {
             }
             _ => {
                 let channel: Box<dyn TwoInputTransform> = if rng.gen_bool(0.5) {
-                    Box::new(CachedHybridNandChannel::from_dual(shared_lib()).unwrap())
+                    Box::new(NandDual::new(
+                        CachedHybridChannel::new(shared_lib()).unwrap(),
+                    ))
                 } else {
                     Box::new(CachedHybridChannel::new(shared_lib()).unwrap())
                 };
@@ -475,11 +472,9 @@ fn c17_fixture_matches_builtin_topology_bit_for_bit() {
     assert_eq!(nl.gates().len(), 6);
 
     let ch = InertialChannel::symmetric(ps(50.0), ps(38.0)).unwrap();
-    let lowered = nl.lower(&CellLibrary::inertial(ch.clone())).unwrap();
-    let mut reference = ChannelPerGate(|| {
-        Some(Box::new(InertialChannel::symmetric(ps(50.0), ps(38.0)).unwrap()) as Box<_>)
-    });
-    let builtin = netlists::c17(&mut reference).unwrap();
+    let cells = CellLibrary::inertial(ch);
+    let lowered = nl.lower(&cells).unwrap();
+    let builtin = netlists::c17(&cells).unwrap();
 
     let mut rng = TestRng::seed_from_u64(0xC17);
     for _ in 0..8 {

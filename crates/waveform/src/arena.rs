@@ -303,11 +303,12 @@ impl EdgeBuf {
     ///
     /// # Errors
     ///
-    /// Returns [`WaveformError::InvalidInput`] for negative `min_width`.
+    /// Returns [`WaveformError::InvalidInput`] for a negative or NaN
+    /// `min_width`.
     pub fn filter_short_pulses_in_place(&mut self, min_width: f64) -> Result<(), WaveformError> {
-        if min_width < 0.0 {
+        if !(min_width >= 0.0) {
             return Err(WaveformError::InvalidInput {
-                reason: "min_width must be non-negative".into(),
+                reason: "min_width must be a non-negative number".into(),
             });
         }
         let ts = &mut self.times;
@@ -581,7 +582,9 @@ mod tests {
             assert_eq!(buf.to_trace(), want, "times {times:?}");
         }
         let mut buf = EdgeBuf::new();
-        assert!(buf.filter_short_pulses_in_place(-1.0).is_err());
+        for bad in [-1.0, f64::NAN] {
+            assert!(buf.filter_short_pulses_in_place(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

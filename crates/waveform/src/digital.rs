@@ -156,11 +156,12 @@ impl DigitalTrace {
     ///
     /// # Errors
     ///
-    /// Returns [`WaveformError::InvalidInput`] for negative `min_width`.
+    /// Returns [`WaveformError::InvalidInput`] for a negative or NaN
+    /// `min_width`.
     pub fn filter_short_pulses(&self, min_width: f64) -> Result<DigitalTrace, WaveformError> {
-        if min_width < 0.0 {
+        if !(min_width >= 0.0) {
             return Err(WaveformError::InvalidInput {
-                reason: "min_width must be non-negative".into(),
+                reason: "min_width must be a non-negative number".into(),
             });
         }
         let mut edges: Vec<Edge> = Vec::with_capacity(self.edges.len());
@@ -390,7 +391,9 @@ mod tests {
 
     #[test]
     fn filter_rejects_negative_width() {
-        assert!(pulse(0.0, 1.0).filter_short_pulses(-1.0).is_err());
+        for bad in [-1.0, f64::NAN] {
+            assert!(pulse(0.0, 1.0).filter_short_pulses(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -102,12 +102,25 @@ impl TraceConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`WaveformError::InvalidInput`] for non-positive `mu`,
-    /// negative `sigma`, or zero transitions.
+    /// Returns [`WaveformError::InvalidInput`] unless `mu` and `min_gap`
+    /// are finite and positive, `sigma` is finite and non-negative, and
+    /// `start_time` is finite; also for zero transitions. A `min_gap`
+    /// below the float resolution of the edge times returns the
+    /// [`WaveformError::NotMonotonic`] of the repeated edge.
     pub fn generate(&self, seed: u64) -> Result<TracePair, WaveformError> {
-        if !(self.mu > 0.0) || self.sigma < 0.0 {
+        // Written positively so a NaN in any field fails its comparison.
+        let valid = self.mu > 0.0
+            && self.mu.is_finite()
+            && self.sigma >= 0.0
+            && self.sigma.is_finite()
+            && self.min_gap > 0.0
+            && self.min_gap.is_finite()
+            && self.start_time.is_finite();
+        if !valid {
             return Err(WaveformError::InvalidInput {
-                reason: "mu must be positive and sigma non-negative".into(),
+                reason: "mu and min_gap must be finite and positive, sigma finite and \
+                         non-negative, start_time finite"
+                    .into(),
             });
         }
         if self.transitions == 0 {
@@ -129,7 +142,7 @@ impl TraceConfig {
                 for _ in 0..n_a {
                     t += self.interval(&mut rng);
                     val = !val;
-                    a.push_edge(t, val).expect("monotone by construction");
+                    a.push_edge(t, val)?;
                 }
                 // Offset B's stream start by an independent draw so the two
                 // streams are not phase locked.
@@ -138,7 +151,7 @@ impl TraceConfig {
                 for _ in 0..n_b {
                     t += self.interval(&mut rng);
                     val = !val;
-                    b.push_edge(t, val).expect("monotone by construction");
+                    b.push_edge(t, val)?;
                 }
             }
             Assignment::Global => {
@@ -147,10 +160,10 @@ impl TraceConfig {
                     t += self.interval(&mut rng);
                     if rng.gen_bool(0.5) {
                         let v = !a.final_value();
-                        a.push_edge(t, v).expect("monotone by construction");
+                        a.push_edge(t, v)?;
                     } else {
                         let v = !b.final_value();
-                        b.push_edge(t, v).expect("monotone by construction");
+                        b.push_edge(t, v)?;
                     }
                 }
             }
@@ -313,5 +326,56 @@ mod tests {
         assert!(TraceConfig::new(ps(1.0), ps(1.0), Assignment::Local, 0)
             .generate(0)
             .is_err());
+    }
+
+    #[test]
+    fn non_finite_and_zero_gap_fields_rejected() {
+        // Without validation the first two panicked in `push_edge` (a
+        // zero or infinite interval repeats an edge time) and a NaN
+        // sigma silently clamped every interval to `min_gap`.
+        let ok = TraceConfig::new(ps(100.0), ps(500.0), Assignment::Local, 200);
+        let bad = [
+            TraceConfig {
+                min_gap: 0.0,
+                ..ok.clone()
+            },
+            TraceConfig {
+                mu: f64::INFINITY,
+                ..ok.clone()
+            },
+            TraceConfig {
+                sigma: f64::NAN,
+                ..ok.clone()
+            },
+            TraceConfig {
+                sigma: f64::INFINITY,
+                ..ok.clone()
+            },
+            TraceConfig {
+                min_gap: f64::NAN,
+                ..ok.clone()
+            },
+            TraceConfig {
+                start_time: f64::NEG_INFINITY,
+                ..ok.clone()
+            },
+        ];
+        for cfg in bad {
+            assert!(
+                matches!(cfg.generate(1), Err(WaveformError::InvalidInput { .. })),
+                "{cfg:?}"
+            );
+        }
+        assert!(ok.generate(1).is_ok());
+        // A gap below the float resolution of the edge times repeats an
+        // edge time: an error, not a panic.
+        let tiny = TraceConfig {
+            min_gap: 1e-30,
+            ..ok.clone()
+        };
+        assert!(matches!(
+            tiny.generate(1),
+            Err(WaveformError::NotMonotonic { .. })
+        ));
     }
 }

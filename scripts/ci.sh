@@ -18,6 +18,21 @@ cargo build --release --offline --workspace
 echo "== cargo test -q --workspace --offline"
 cargo test -q --workspace --offline
 
+# Determinism is a contract: every fast example runs twice and must exit
+# zero with byte-identical stdout (all stimuli come from the seeded
+# testkit PRNG or fixed traces). timing_simulation and fit_your_gate are
+# too slow for tier 1; characterize_gate prints wall-clock timings.
+echo "== fast examples (run twice, stdout must match)"
+for example in quickstart charlie_explorer circuit_network probe; do
+    first="$(cargo run -q --release --offline --example "$example")"
+    second="$(cargo run -q --release --offline --example "$example")"
+    if [[ "$first" != "$second" ]]; then
+        echo "example $example: stdout differs between two runs" >&2
+        diff <(echo "$first") <(echo "$second") >&2 || true
+        exit 1
+    fi
+done
+
 echo "== cargo doc --offline --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --quiet
 
