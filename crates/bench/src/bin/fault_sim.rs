@@ -21,18 +21,27 @@
 //! fault_sim --fuzz ITERS [--seed N] [--workers N] [--json]
 //! ```
 //!
+//! `--max-events N` and `--max-edges N` bound each fault's replay: it
+//! charges one event for the fault site plus one per gate of the
+//! site's fan-out cone it re-evaluates, and as edges the site's
+//! rewritten edges plus those gates' output edges. A replay past a
+//! limit counts as a budget trip, not a failure; `--max-events 0` trips
+//! every fault.
+//!
 //! `--trace` records the campaign on a live `mis_probe::TraceSink` —
 //! the golden run's gate spans plus, per worker, a chunk span, a
 //! `fault_run` span per replay and coverage-over-time samples — and
 //! writes the timeline as checker-validated Chrome Trace Format JSON.
-//! The per-worker `fault.w<i>.busy` utilization timers appear in the
-//! report (and `--json` line) whenever the campaign runs probed,
+//! The per-worker `fault.w<i>.busy` utilization timers and the
+//! `fault.signals_reevaluated` histogram (gates re-evaluated per fault)
+//! appear in the `--json` line whenever the campaign runs probed,
 //! traced or not.
 //!
 //! `--fuzz` ignores the campaign flags and instead runs the
 //! differential fuzz harness (random circuits, stimuli and faults;
 //! engine-vs-reference bit-identity, campaign reports identical across
-//! `1..=--workers` workers, faulted-STA soundness, graceful budgets)
+//! `1..=--workers` workers, cone replay equal to full replay per fault,
+//! faulted-STA soundness, graceful budgets)
 //! for the given iteration count — CI's smoke leg.
 //!
 //! Exit code 1 on campaign, fuzz, or expectation failure; 2 on usage
@@ -352,6 +361,10 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: fault_sim [--json] [--workers N] [--glitches N] [--max-events N] \
                  [--max-edges N] [--trace <out.json>] [--expect k=v,...] <netlist.bench>"
+            );
+            eprintln!(
+                "       --max-events/--max-edges bound each fault's replay: one event \
+                 for the site plus one per re-evaluated cone gate"
             );
             eprintln!("       fault_sim --fuzz ITERS [--seed N] [--workers N] [--json]");
             return ExitCode::from(2);

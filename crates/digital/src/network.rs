@@ -366,6 +366,16 @@ impl Network {
 }
 
 impl SignalSource<'_> {
+    /// The signal's fan-in: the gate's operands, empty for an input.
+    #[must_use]
+    pub fn inputs(&self) -> &[SignalId] {
+        match self {
+            SignalSource::Input => &[],
+            SignalSource::Gate { inputs, .. } => inputs,
+            SignalSource::TwoInputChannelGate { inputs, .. } => inputs,
+        }
+    }
+
     /// Evaluates this gate and seals its output as the next span of
     /// `arena` — the per-gate kernel of every evaluator:
     /// [`Network::run_in`] and the `mis-sim` engine both call it, so a

@@ -8,9 +8,13 @@
 //! count changes only wall-clock time. The argument has three legs:
 //!
 //! 1. **Per-fault determinism.** Each fault is evaluated by a private
-//!    [`Simulator`] under a [`FaultOverlay`]; the engine is
-//!    deterministic and the overlay is a pure rewrite, so a fault's
-//!    outcome does not depend on the worker that runs it.
+//!    [`ConeReplay`] of its [`FaultOverlay`] against the shared golden
+//!    run. The overlay is a pure rewrite, and cone replay leaves every
+//!    signal's trace bit-identical to a full
+//!    [`Simulator::run_controlled_in`] under the same overlay (see the
+//!    `mis_sim::cone` docs; `crate::fuzz` and the C432/C880 fixture
+//!    test cross-check it), so a fault's outcome is the full replay's
+//!    and does not depend on the worker that runs it.
 //! 2. **Fixed partition.** Faults are split into contiguous chunks
 //!    (`chunks` / `chunks_mut`), and each worker writes outcomes only
 //!    into its own chunk of the result vector — no shared accumulator
@@ -21,14 +25,22 @@
 //!    the campaign level: they are recorded per fault as
 //!    [`FaultOutcome::BudgetTripped`].)
 //!
-//! Each worker owns one warm [`TraceArena`] reused across all its
-//! faulty runs, so a campaign's steady state allocates only the
+//! The coordinator's golden run stays in its [`TraceArena`], where the
+//! span index equals the signal index, and every worker reads it as a
+//! shared `&TraceArena` without copying it. Each worker owns one
+//! [`ConeReplay`] and one small warm local arena reused across all its
+//! faults: a replay re-evaluates only the gates of the fault's fan-out
+//! cone whose fan-in changed, and stops where the faulty trace is
+//! masked. A campaign's steady state therefore allocates only the
 //! per-fault outcome bookkeeping, never trace storage.
+//!
+//! A fault's [`RunBudget`] is charged as the cone replay charges it:
+//! one event for the fault site plus one per re-evaluated gate.
 
 use mis_digital::{Network, SignalId, SimError};
 use mis_probe::{EventKind, Probe, TraceSink};
-use mis_sim::{RunBudget, Simulator};
-use mis_waveform::{DigitalTrace, TraceArena, TraceRef};
+use mis_sim::{ConeReplay, RunBudget, Simulator};
+use mis_waveform::{DigitalTrace, TraceArena};
 
 use crate::error::FaultError;
 use crate::site::{FaultOverlay, FaultSite};
@@ -39,7 +51,8 @@ pub struct CampaignConfig {
     /// Worker threads evaluating faults (≥ 1; the report is identical
     /// at every count).
     pub workers: usize,
-    /// Budget each faulty run is held to; a tripped run records
+    /// Budget each fault's replay is held to (see the module docs for
+    /// what it charges); a tripped replay records
     /// [`FaultOutcome::BudgetTripped`] instead of failing the campaign.
     pub budget: RunBudget,
 }
@@ -109,25 +122,13 @@ impl CampaignReport {
     }
 }
 
-/// Whether a faulty output view differs from its golden trace. Exact
-/// comparison is the right notion here: the engine is deterministic,
-/// so any difference is the fault's doing.
-fn differs(view: TraceRef<'_>, golden: &DigitalTrace) -> bool {
-    view.initial_value() != golden.initial_value()
-        || view.len() != golden.edges().len()
-        || view
-            .times()
-            .iter()
-            .zip(golden.edges())
-            .any(|(&t, e)| t != e.time)
-}
-
 /// [`run_campaign`] with the three campaign counters —
-/// `fault.injected`, `fault.detected`, `fault.budget_trips` — and one
-/// `fault.w<i>.busy` span timer per worker (the campaign-utilization
-/// picture) recording into `probe`. The counters are atomic and shared,
-/// so the workers increment them directly; totals are exact, arrival
-/// order is not part of the report.
+/// `fault.injected`, `fault.detected`, `fault.budget_trips` — the
+/// `fault.signals_reevaluated` histogram (gates each completed replay
+/// re-evaluated), and one `fault.w<i>.busy` span timer per worker (the
+/// campaign-utilization picture) recording into `probe`. The metrics
+/// are atomic and shared, so the workers record into them directly;
+/// totals are exact, arrival order is not part of the report.
 ///
 /// # Errors
 ///
@@ -179,28 +180,24 @@ pub fn run_campaign_traced(
             reason: "campaign needs at least one worker".into(),
         });
     }
-    // The golden run: fault-free, unbudgeted, serial. Output traces are
-    // materialized once and shared read-only with every worker. It
+    // The golden run: fault-free, unbudgeted, serial. Its arena (span
+    // index = signal index) is shared read-only with every worker. It
     // traces onto the `sim` track (with a detached counter bundle, so
     // the campaign's probe keeps only `fault.*` engine-independent
     // metrics).
-    let mut sim = Simulator::new_traced(net, &Probe::disabled(), sink)?;
-    let mut arena = TraceArena::new();
-    sim.run_in(inputs, &mut arena)?;
-    let golden: Vec<DigitalTrace> = outputs
-        .iter()
-        .map(|&id| sim.trace(&arena, id).to_trace())
-        .collect();
-    drop(sim);
+    let mut golden = TraceArena::new();
+    Simulator::new_traced(net, &Probe::disabled(), sink)?.run_in(inputs, &mut golden)?;
 
     let injected = probe.counter("fault.injected");
     let detected_ctr = probe.counter("fault.detected");
     let trips_ctr = probe.counter("fault.budget_trips");
+    let reevaluated = probe.histogram("fault.signals_reevaluated");
 
     let mut results: Vec<Option<FaultResult>> = vec![None; faults.len()];
     let chunk = faults.len().div_ceil(config.workers).max(1);
     let golden = &golden;
-    let (injected_ref, detected_ref, trips_ref) = (&injected, &detected_ctr, &trips_ctr);
+    let (injected_ref, detected_ref, trips_ref, reevaluated_ref) =
+        (&injected, &detected_ctr, &trips_ctr, &reevaluated);
     std::thread::scope(|scope| -> Result<(), FaultError> {
         let handles: Vec<_> = faults
             .chunks(chunk)
@@ -216,26 +213,28 @@ pub fn run_campaign_traced(
                     let busy_started = busy.start();
                     let chunk_started = track.start();
                     let mut detected_here = 0u32;
-                    // One engine and one warm arena per worker, reused
-                    // across every fault in the chunk.
-                    let mut sim = Simulator::new(net)?;
-                    let mut arena = TraceArena::new();
+                    // One replay state and one warm local arena per
+                    // worker, reused across every fault in the chunk.
+                    let mut replay = ConeReplay::new(net)?;
+                    let mut local = TraceArena::new();
                     for (j, (site, slot)) in sites.iter().zip(slots.iter_mut()).enumerate() {
                         let overlay = FaultOverlay::new(*site);
                         injected_ref.inc();
                         let fault_started = track.start();
-                        let run = sim.run_controlled_in(
-                            inputs,
-                            &mut arena,
+                        let run = replay.replay(
+                            golden,
+                            &mut local,
+                            site.signal,
+                            &overlay,
                             &config.budget,
-                            Some(&overlay),
                         );
                         let result = match run {
                             Ok(()) => {
+                                reevaluated_ref.record(replay.reevaluated() as u64);
                                 let detecting: Vec<usize> = outputs
                                     .iter()
                                     .enumerate()
-                                    .filter(|&(k, &id)| differs(sim.trace(&arena, id), &golden[k]))
+                                    .filter(|&(_, &id)| replay.changed(id))
                                     .map(|(k, _)| k)
                                     .collect();
                                 let outcome = if detecting.is_empty() {
@@ -329,9 +328,9 @@ pub fn run_campaign_traced(
 }
 
 /// Evaluates `faults` against the golden (fault-free) run of `net`
-/// under `inputs`, observing the signals in `outputs`: one faulty run
-/// per site, batched over `config.workers` scoped threads, each holding
-/// its runs to `config.budget`. See the module docs for why the report
+/// under `inputs`, observing the signals in `outputs`: one cone-only
+/// replay per site, batched over `config.workers` scoped threads, each
+/// holding its replays to `config.budget`. See the module docs for why the report
 /// is identical at every worker count.
 ///
 /// # Errors
@@ -352,6 +351,7 @@ mod tests {
     use super::*;
     use crate::site::stuck_at_sites;
     use mis_digital::{GateKind, InertialChannel, Network};
+    use mis_probe::MetricValue;
     use mis_waveform::units::ps;
 
     /// y = NOR(a, b) behind an inertial channel, observed at y.
@@ -451,6 +451,30 @@ mod tests {
             .results
             .iter()
             .all(|r| r.outcome == FaultOutcome::BudgetTripped));
+    }
+
+    #[test]
+    fn a_fault_masked_at_its_site_costs_one_event() {
+        // b is constant low: stuck-at-0 on it is masked at the site, so
+        // the replay charges the site's event and nothing else.
+        let (net, outputs, inputs) = nor_fixture();
+        let b = net.signal_id(1).unwrap();
+        let outcome = |max_events| {
+            let report = run_campaign(
+                &net,
+                &outputs,
+                &inputs,
+                &[FaultSite::stuck_at_0(b)],
+                &CampaignConfig {
+                    workers: 1,
+                    budget: RunBudget::UNLIMITED.with_max_events(max_events),
+                },
+            )
+            .unwrap();
+            report.results[0].outcome
+        };
+        assert_eq!(outcome(1), FaultOutcome::Undetected);
+        assert_eq!(outcome(0), FaultOutcome::BudgetTripped);
     }
 
     #[test]
@@ -568,5 +592,14 @@ mod tests {
             Some(report.detected as u64)
         );
         assert_eq!(snap.get("fault.budget_trips").unwrap().scalar(), Some(0));
+        // Faults on `a` and sa1 on `b` re-evaluate the NOR; the rest are
+        // masked at their site or have no fan-out.
+        match snap.get("fault.signals_reevaluated") {
+            Some(MetricValue::Histogram { count, p99, .. }) => {
+                assert_eq!(*count, report.total() as u64);
+                assert_eq!(*p99, Some(1));
+            }
+            other => panic!("expected the re-evaluation histogram, got {other:?}"),
+        }
     }
 }

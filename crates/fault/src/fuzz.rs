@@ -12,7 +12,7 @@
 //! 2. a random stimulus (strictly increasing edge times per input);
 //! 3. one random [`FaultSite`] — stuck-at-0/1 or a transient glitch.
 //!
-//! It then asserts four properties the rest of the workspace argues
+//! It then asserts five properties the rest of the workspace argues
 //! structurally:
 //!
 //! * **Engine bit-identity.** On the fault-free run, [`Simulator`]
@@ -21,6 +21,13 @@
 //! * **Campaign determinism.** A [`run_campaign`] over the network's
 //!   stuck-at list plus the random fault reports the same result at
 //!   every worker count up to the configured maximum.
+//! * **Cone replay equals full replay.** For every fault of that
+//!   campaign, [`ConeReplay`] leaves every signal's trace exactly as a
+//!   full [`Simulator::run_controlled_in`] under the fault's overlay
+//!   does, marks changed exactly the signals whose trace differs from
+//!   the golden run, and so agrees with the campaign's detections. Its
+//!   budget holds too: exactly `1 + re-evaluated` events succeed, one
+//!   fewer trips.
 //! * **Faulted STA soundness.** Every edge of every faulty trace lands
 //!   inside the signal's arrival window computed by
 //!   [`TimingAnalysis::arrival_windows_edited`] under the fault's
@@ -36,10 +43,10 @@
 
 use mis_analyze::TimingAnalysis;
 use mis_digital::{GateKind, InertialChannel, Network, PureDelayChannel, SimError};
-use mis_sim::{RunBudget, Simulator};
+use mis_sim::{ConeReplay, RunBudget, Simulator};
 use mis_testkit::rng::TestRng;
 use mis_waveform::units::ps;
-use mis_waveform::{DigitalTrace, TraceArena, TraceRef};
+use mis_waveform::{DigitalTrace, TraceArena};
 
 use crate::campaign::{run_campaign, CampaignConfig};
 use crate::site::{stuck_at_sites, FaultOverlay, FaultSite};
@@ -73,7 +80,8 @@ pub struct FuzzReport {
     /// Faulty-trace edges checked against their STA windows.
     pub edges_checked: u64,
     /// Runs compared, per iteration: the engine against the reference,
-    /// plus one campaign per worker count.
+    /// one campaign per worker count, and per campaign fault the cone
+    /// replay against the full replay plus its two budget probes.
     pub runs_compared: u64,
 }
 
@@ -169,12 +177,6 @@ fn random_fault(rng: &mut TestRng, net: &Network) -> FaultSite {
     }
 }
 
-/// Exact trace equality between two views (bit-identity, not
-/// approximate agreement).
-fn same_trace(a: TraceRef<'_>, b: TraceRef<'_>) -> bool {
-    a.initial_value() == b.initial_value() && a.times() == b.times()
-}
-
 /// Runs the differential fuzz. Returns coverage statistics on success.
 ///
 /// # Errors
@@ -208,7 +210,7 @@ pub fn fuzz_differential(config: &FuzzConfig) -> Result<FuzzReport, String> {
         runs_compared += 1;
         for s in 0..net.signal_count() {
             let id = net.signal_id(s).expect("s < signal_count");
-            if !same_trace(sim.trace(&arena, id), reference.trace(s)) {
+            if sim.trace(&arena, id) != reference.trace(s) {
                 return Err(tag(&format!(
                     "engine diverges from the reference on signal {}",
                     net.signal_name(id)
@@ -246,6 +248,65 @@ pub fn fuzz_differential(config: &FuzzConfig) -> Result<FuzzReport, String> {
                 }
                 Some(_) => {}
             }
+        }
+        let baseline = baseline.expect("max_workers >= 1");
+
+        // Cone replay against full replay, per campaign fault: the same
+        // trace on every signal, the same changed set as the campaign's
+        // detections (its outputs are every signal, in signal order),
+        // and exactly `1 + re-evaluated` budget events.
+        let mut cone = ConeReplay::new(&net).map_err(|e| tag(&e.to_string()))?;
+        let mut local = TraceArena::new();
+        let mut full = TraceArena::new();
+        for (fault, result) in faults.iter().zip(&baseline.results) {
+            let overlay = FaultOverlay::new(*fault);
+            let replay = |cone: &mut ConeReplay, local: &mut TraceArena, budget: &RunBudget| {
+                cone.replay(&arena, local, fault.signal, &overlay, budget)
+            };
+            replay(&mut cone, &mut local, &RunBudget::UNLIMITED)
+                .map_err(|e| tag(&format!("cone replay of {fault}: {e}")))?;
+            sim.run_controlled_in(&inputs, &mut full, &RunBudget::UNLIMITED, Some(&overlay))
+                .map_err(|e| tag(&e.to_string()))?;
+            let mut differing = Vec::new();
+            for (s, &id) in outputs.iter().enumerate() {
+                let want = sim.trace(&full, id);
+                let differs = want != arena.trace(s);
+                if differs {
+                    differing.push(s);
+                }
+                if cone.changed(id) != differs || cone.trace(&arena, &local, id) != want {
+                    return Err(tag(&format!(
+                        "cone replay of {fault} diverges from full replay on signal {}",
+                        net.signal_name(id)
+                    )));
+                }
+            }
+            if differing != result.detecting_outputs {
+                return Err(tag(&format!(
+                    "campaign detections of {fault} differ from full replay"
+                )));
+            }
+            let events = 1 + cone.reevaluated() as u64;
+            replay(
+                &mut cone,
+                &mut local,
+                &RunBudget::UNLIMITED.with_max_events(events),
+            )
+            .map_err(|e| tag(&format!("{events} events should replay {fault}, got: {e}")))?;
+            match replay(
+                &mut cone,
+                &mut local,
+                &RunBudget::UNLIMITED.with_max_events(events - 1),
+            ) {
+                Err(SimError::BudgetExceeded { .. }) => {}
+                other => {
+                    return Err(tag(&format!(
+                        "cone replay of {fault} under {} events returned {other:?}",
+                        events - 1
+                    )))
+                }
+            }
+            runs_compared += 3;
         }
 
         // The faulty run every remaining check reads.
@@ -316,7 +377,16 @@ mod tests {
         .unwrap();
         assert_eq!(report.iterations, 12);
         assert!(report.edges_checked > 0, "fuzz must exercise real edges");
-        assert_eq!(report.runs_compared, 12 * 5);
+        // Per iteration: engine vs reference, one campaign per worker
+        // count, and three cone-replay checks per campaign fault (two
+        // stuck-ats per signal plus the random fault).
+        let want: u64 = (0..12u64)
+            .map(|i| {
+                let net = random_network(&mut TestRng::seed_from_u64(0xfa111 + i));
+                1 + 4 + 3 * (2 * net.signal_count() as u64 + 1)
+            })
+            .sum();
+        assert_eq!(report.runs_compared, want);
     }
 
     #[test]

@@ -15,15 +15,17 @@
 //!   realizes a site as a [`mis_sim::TraceOverlay`], the rewrite hook
 //!   the engine applies at the sealed-span boundary.
 //! * [`campaign`] — the deterministic campaign runner: a fault list
-//!   evaluated against a golden run over scoped worker threads (one
-//!   warm arena per worker), reporting per-output detection and
-//!   aggregate coverage. The report is identical at every worker
-//!   count. This is where the workspace's parallelism lives: one job
-//!   (faulty run) per engine, many engines per campaign.
+//!   evaluated against one shared golden run over scoped worker
+//!   threads, each fault a [`mis_sim::ConeReplay`] of its fan-out cone
+//!   only, reporting per-output detection and aggregate coverage. The
+//!   report is identical at every worker count. This is where the
+//!   workspace's parallelism lives: one job (fault replay) at a time
+//!   per worker, many workers per campaign.
 //! * [`fuzz`] — the differential fuzz harness: random bounded-channel
 //!   circuits, stimuli and faults, cross-checking the engine against
-//!   the `Network::run_in` reference bit-for-bit and campaign reports
-//!   across worker counts, asserting every faulty edge lands inside its
+//!   the `Network::run_in` reference bit-for-bit, campaign reports
+//!   across worker counts, and each fault's cone replay against its
+//!   full replay, asserting every faulty edge lands inside its
 //!   faulted STA window ([`FaultSite::window_edit`] +
 //!   [`mis_analyze::TimingAnalysis::arrival_windows_edited`]), and
 //!   probing the [`mis_sim::RunBudget`] degradation contract.

@@ -15,10 +15,25 @@
 //!
 //! # Accounting semantics
 //!
+//! For a [`crate::Simulator`] run:
+//!
 //! * **Events** — one per non-input signal evaluation.
 //! * **Edges** — the edge count of each evaluated gate's sealed output
 //!   span (after any overlay rewrite), summed. Input traces are caller
 //!   data, already bounded by the caller, and are not charged.
+//!
+//! For a [`crate::ConeReplay`] (one campaign fault), only the work the
+//! replay does is charged:
+//!
+//! * **Events** — one for the rewritten site, input or gate, plus one
+//!   per re-evaluated gate of its fan-out cone. The site is charged
+//!   before the replay checks whether the rewrite is masked at the
+//!   site, so a zero event budget still trips every replay.
+//! * **Edges** — the site's rewritten edges plus each re-evaluated
+//!   gate's output edges.
+//!
+//! In both:
+//!
 //! * **Deadline** — checked on the first event and then every 64th, so
 //!   a pathological single-gate evaluation can overshoot; the guarantee
 //!   is "stops within a bounded number of gate evaluations past the
@@ -53,8 +68,8 @@ use mis_digital::{BudgetResource, SimError};
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunBudget {
-    /// Maximum evaluation events (one per non-input signal); `None` for
-    /// unlimited.
+    /// Maximum evaluation events (see the module docs for what a run
+    /// and a cone replay charge); `None` for unlimited.
     pub max_events: Option<u64>,
     /// Maximum emitted output edges, summed over evaluated gates;
     /// `None` for unlimited.

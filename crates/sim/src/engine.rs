@@ -65,7 +65,7 @@ pub const ENGINE_INDEX_MAX: usize = u32::MAX as usize;
 
 /// Rejects a signal count that would truncate in the engine's `u32`
 /// indices, as [`SimError::NetworkTooLarge`].
-fn check_index_width(count: usize) -> Result<(), SimError> {
+pub(crate) fn check_index_width(count: usize) -> Result<(), SimError> {
     if count > ENGINE_INDEX_MAX {
         return Err(SimError::NetworkTooLarge {
             count,

@@ -28,9 +28,12 @@
 //! run (events, edges, deadline) with a graceful
 //! [`mis_digital::SimError::BudgetExceeded`] instead of unbounded work,
 //! and [`mod@overlay`] rewrites sealed traces mid-run — the injection
-//! point the `mis-fault` campaigns build on. Parallelism lives one
-//! level up, at the job level: `mis-fault` spreads a campaign's faulty
-//! runs over worker threads, each with its own engine.
+//! point the `mis-fault` campaigns build on. [`ConeReplay`] ([`mod@cone`])
+//! replays one such rewrite through its fan-out cone only, against a
+//! shared golden arena, bit-identical to the full overlay run.
+//! Parallelism lives one level up, at the job level: `mis-fault`
+//! spreads a campaign's fault replays over worker threads, each with
+//! its own replay state and local arena.
 //!
 //! # Examples
 //!
@@ -60,6 +63,7 @@
 
 pub mod bench;
 pub mod budget;
+pub mod cone;
 pub mod engine;
 mod error;
 pub mod overlay;
@@ -67,6 +71,7 @@ pub mod probe;
 
 pub use bench::{BenchFunc, BenchGate, BenchNetlist, LoweredNetlist, LoweredStats};
 pub use budget::RunBudget;
+pub use cone::ConeReplay;
 pub use engine::{Simulator, ENGINE_INDEX_MAX};
 pub use error::BenchError;
 pub use mis_digital::netlists::CellLibrary;

@@ -15,8 +15,9 @@ use std::path::PathBuf;
 
 use mis_charlib::CharLib;
 use mis_digital::InertialChannel;
+use mis_fault::{stuck_at_sites, FaultOverlay, FaultSite};
 use mis_probe::{Probe, TraceSink};
-use mis_sim::{BenchNetlist, CellLibrary, Simulator};
+use mis_sim::{BenchNetlist, CellLibrary, ConeReplay, RunBudget, Simulator};
 use mis_testkit::alloc::{self, CountingAllocator};
 use mis_waveform::generate::{Assignment, TraceConfig};
 use mis_waveform::units::ps;
@@ -202,6 +203,55 @@ fn tripped_budget_runs_stay_allocation_free() {
         );
         assert_eq!(arena.total_edges(), warm_edges, "{file}: reproducible");
     }
+}
+
+#[test]
+fn warm_cone_replay_of_every_c880_fault_is_allocation_free() {
+    // The campaign hot path: every stuck-at site plus the 24 glitches of
+    // `fault_sim --glitches 24`, each cone-replayed against one shared
+    // golden arena. After one pass over the list has sized the local
+    // arena, a second pass allocates nothing.
+    let lowered = fixture("c880.bench")
+        .lower(&committed_cells())
+        .expect("lowering");
+    let net = &lowered.net;
+    let inputs = traffic(lowered.inputs.len(), 0x5eed);
+    let mut golden = TraceArena::new();
+    Simulator::new(net)
+        .expect("engine construction")
+        .run_in(&inputs, &mut golden)
+        .expect("golden run");
+    let mut faults = stuck_at_sites(net);
+    faults.extend((0..24).map(|i| {
+        let id = net.signal_id((i * 7 + 3) % net.signal_count()).unwrap();
+        FaultSite::glitch(
+            id,
+            ps(100.0 + 83.0 * i as f64),
+            ps(20.0 + 10.0 * (i % 5) as f64),
+        )
+        .expect("glitch site")
+    }));
+    let mut replay = ConeReplay::new(net).expect("replay state");
+    let mut local = TraceArena::new();
+    let pass = |replay: &mut ConeReplay, local: &mut TraceArena| {
+        let mut reevaluated = 0;
+        for site in &faults {
+            let overlay = FaultOverlay::new(*site);
+            replay
+                .replay(&golden, local, site.signal, &overlay, &RunBudget::UNLIMITED)
+                .expect("replay");
+            reevaluated += replay.reevaluated();
+        }
+        reevaluated
+    };
+    let warm = pass(&mut replay, &mut local);
+    assert!(warm > 0, "the faults reach their cones");
+    let (allocations, again) = alloc::count_in(|| pass(&mut replay, &mut local));
+    assert_eq!(
+        allocations, 0,
+        "warm cone replay allocated {allocations} times"
+    );
+    assert_eq!(again, warm, "reproducible");
 }
 
 #[test]

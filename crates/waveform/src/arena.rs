@@ -51,7 +51,11 @@ use crate::{Edge, WaveformError};
 /// value plus a strictly increasing slice of edge times. Edge polarities
 /// are implied: a well-formed trace alternates, so edge `k` is rising iff
 /// `k` is even and the initial value is low (and vice versa).
-#[derive(Debug, Clone, Copy)]
+///
+/// Two views are equal when their initial values and every edge time are
+/// equal: exact comparison, the notion a deterministic engine's golden
+/// and faulty runs are compared by.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceRef<'a> {
     initial: bool,
     times: &'a [f64],
@@ -465,6 +469,24 @@ impl TraceArena {
         self.seal_span(start, trace.initial_value())
     }
 
+    /// Copies a borrowed view — typically a span of another arena — in
+    /// as the next sealed span, returning its index.
+    pub fn push_ref(&mut self, trace: TraceRef<'_>) -> usize {
+        let start = self.times.len();
+        self.times.extend_from_slice(trace.times);
+        self.seal_span(start, trace.initial)
+    }
+
+    /// Drops every sealed trace from index `count` on, keeping capacity;
+    /// spans below `count` stay valid. A no-op when `count` is at least
+    /// [`TraceArena::trace_count`].
+    pub fn truncate(&mut self, count: usize) {
+        if let Some(s) = self.spans.get(count) {
+            self.times.truncate(s.start);
+            self.spans.truncate(count);
+        }
+    }
+
     /// Seals a copy of an already-sealed span (optionally inverted — the
     /// zero-time BUF/NOT gates), returning the new index.
     ///
@@ -600,6 +622,27 @@ mod tests {
         assert!(arena.trace(c).initial_value());
         assert_eq!(arena.trace(c).times(), arena.trace(a).times());
         assert_eq!(arena.total_edges(), 4);
+    }
+
+    #[test]
+    fn push_ref_copies_across_arenas_and_truncate_drops_the_tail() {
+        let mut golden = TraceArena::new();
+        let a = golden.push_trace(&pulse(1.0, 2.0));
+        let mut local = TraceArena::new();
+        local.push_trace(&DigitalTrace::constant(true));
+        let copied = local.push_ref(golden.trace(a).inverted());
+        assert_eq!(local.trace(copied).times(), &[1.0, 2.0]);
+        assert!(local.trace(copied).initial_value());
+        local.push_ref(golden.trace(a));
+        local.truncate(9); // past the end: nothing to drop
+        assert_eq!(local.trace_count(), 3);
+        local.truncate(copied);
+        assert_eq!(local.trace_count(), 1);
+        assert_eq!(local.total_edges(), 0);
+        assert!(local.trace(0).initial_value(), "spans below the cut stay");
+        let again = local.push_ref(golden.trace(a));
+        assert_eq!(again, copied, "truncated indices are reused");
+        assert_eq!(local.trace(again).times(), &[1.0, 2.0]);
     }
 
     #[test]
